@@ -304,7 +304,7 @@ def load_config(path) -> ExperimentConfig:
             fd_particles=(
                 int(est["fd_particles"]) if est.get("fd_particles", "").strip() else None
             ),
-            taus=_floats(taus_text) if taus_text else ((0.1,) if tau_rule else (0.1,)),
+            taus=_floats(taus_text) if taus_text else (0.1,),
             ns=_ints(grid.get("n", "1000")) if grid else (1000,),
             deltas=_ints(grid.get("delta", "0")) if grid else (0,),
             hs=_floats(grid.get("h", "0.1")) if grid else (0.1,),
@@ -527,10 +527,8 @@ def _build_grid(config: ExperimentConfig) -> list:
 def _smc_loglik_eval(bundle, config, point, seed_word):
     """Noisy SMC likelihood evaluator for FD on sample-only models."""
     n_fd = config.fd_particles or point.n
-    counter = [0]
 
     def loglik(th, rng):
-        counter[0] += 1
         return bootstrap_loglik(
             bundle.ssm, bundle.ys, th, n_fd, rng, resampling=config.resampling
         )

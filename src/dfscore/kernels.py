@@ -3,8 +3,7 @@
 The backend is fixed at import time.  Numba is used when it is importable
 and the environment variable ``DFSCORE_NUMBA`` is not set to ``0``,
 ``false`` or ``off``.  Both implementations stay importable side by side
-(``*_np`` and ``*_nb`` names) so tests can assert agreement and
-``benchmarks/bench_kernels.py`` can time them against each other.
+(``*_np`` and ``*_nb`` names) so tests can assert agreement between them.
 
 All kernels are pure array-in/array-out functions.  Input validation and
 random-number generation happen in the callers; this keeps the jitted code

@@ -4,23 +4,35 @@ The filter runs on the modified model in which the parameter is re-drawn
 from the perturbation prior at every time step (i.i.d. across time, not a
 random walk) while the latent state evolves through the sample-only
 transition under that step's parameter.  At each step the filter reads off
-weighted posterior means/variances of the lagged parameter and the within-
-lag cross-covariances; those moments assemble into score and observed
-information estimates for the original model.
+weighted posterior means/variances of the lagged parameter and the sum of
+its cross-covariances with the in-lag earlier parameters; those moments
+assemble into score and observed information estimates for the original
+model.
 
-Particles are stored struct-of-arrays: states ``(n,)``, a sliding parameter
-history window ``(n, min(2*lag+1, T), d)``, and one weight vector.  History
-rows are copied along ancestor lines at resampling.  Moment read-off happens
-after weighting and before resampling, so it uses the posterior-at-u weights
-exactly.  RNG consumption does not depend on the lag, which makes runs with
-different lags but equal seeds traverse identical particle trajectories.
+Covariance is bilinear, so ``sum_s Cov_w(theta_s, theta_t)`` over the lag
+window equals ``Cov_w(S_t, theta_t)`` with ``S_t`` the window sum of the
+parameters along each particle's ancestral line: one cross-covariance per
+read-off, whatever the lag.  Each particle carries prefix sums
+``P_k = sum_{s<k} (theta_s - theta)`` of its centred draws in a ring of
+``min(2*lag + 2, T + 1)`` slots (prefix ``k`` in slot ``k % slots``), stored
+particle-major ``(n, slots, d)`` so resampling gathers whole rows.  The
+window sum is ``P_t - P_f`` with ``f = max(0, t - lag)`` and the draw
+itself is ``P_{t+1} - P_t``; centring keeps both differences at the scale
+of the draws.  At lag 0 there is no window and the read-off uses the current
+draws directly.
+
+Particles are otherwise stored struct-of-arrays: states ``(n,)`` and one
+weight vector.  Moment read-off happens after weighting and before
+resampling, so it uses the posterior-at-u weights exactly.  RNG consumption
+does not depend on the lag, which makes runs with different lags but equal
+seeds traverse identical particle trajectories.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -61,6 +73,8 @@ class ExtendedFilterConfig:
     likelihood estimation; the moment read-offs then carry no information).
     ``ess_threshold = None`` resamples every step, which is the analyzed
     setting; a fractional threshold enables ESS-triggered resampling.
+    ``pairwise = True`` also keeps every in-lag cross-covariance on its own
+    (``FixedLagAccumulator.crosscovs``), at a cost that grows with the lag.
     """
 
     theta: np.ndarray
@@ -71,6 +85,7 @@ class ExtendedFilterConfig:
     resampling: str = "multinomial"
     seed: Optional[int] = None
     ess_threshold: Optional[float] = None
+    pairwise: bool = False
 
     def __post_init__(self):
         theta = np.atleast_1d(np.asarray(self.theta, dtype=np.float64))
@@ -95,21 +110,25 @@ class FixedLagAccumulator:
     """Per-time posterior moments of the step parameters, plus diagnostics.
 
     ``means[t]`` and ``covariances[t]`` estimate the lagged-horizon posterior
-    mean/covariance of the step-(t+1) parameter; ``crosscovs[(s, t)]`` holds
-    the cross-covariance for 0-based pairs with ``1 <= t - s <= lag``.
+    mean/covariance of the step-(t+1) parameter, and ``pair_sums[t]`` the sum
+    of its cross-covariances ``C_st = Cov(theta_s, theta_t)`` over 0-based
+    ``s`` with ``1 <= t - s <= lag`` (zero when there is no such ``s``).
+    ``crosscovs[(s, t)]`` holds each ``C_st`` on its own when the filter ran
+    with ``pairwise=True`` and is ``None`` otherwise.
     ``readoff_horizon[t]`` records the 1-based step whose weights produced
     the read-off (``min(t + 1 + lag, T)`` by construction).
     """
 
     means: np.ndarray
     covariances: np.ndarray
-    crosscovs: dict
+    pair_sums: np.ndarray
     loglik_estimate: float
     readoff_horizon: np.ndarray
     ess_trace: np.ndarray
     tau: float
     lag: int
     n_particles: int
+    crosscovs: Optional[dict] = None
 
     @property
     def horizon(self) -> int:
@@ -120,15 +139,10 @@ class FixedLagAccumulator:
         return self.means.shape[1]
 
     def is_complete(self) -> bool:
-        """True when every per-time slot and every in-lag pair was filled."""
-        if np.any(np.isnan(self.means)) or np.any(np.isnan(self.covariances)):
-            return False
-        expected = sum(
-            1
-            for t in range(self.horizon)
-            for _ in range(max(0, t - self.lag), t)
+        """True when every per-time slot was filled."""
+        return not any(
+            np.any(np.isnan(a)) for a in (self.means, self.covariances, self.pair_sums)
         )
-        return len(self.crosscovs) == expected
 
     def save_moments_csv(self, path) -> None:
         """Rows ``t,component,mean,var_diag`` with 1-based indices."""
@@ -147,7 +161,15 @@ class FixedLagAccumulator:
                     )
 
     def save_crosscov_csv(self, path) -> None:
-        """Rows ``s,t,i,j,crosscov`` with 1-based indices."""
+        """Rows ``s,t,i,j,crosscov`` with 1-based indices.
+
+        Needs the per-pair cross-covariances of a ``pairwise=True`` run.
+        """
+        if self.crosscovs is None:
+            raise ValueError(
+                "per-pair cross-covariances were not kept; run the filter "
+                "with ExtendedFilterConfig(pairwise=True)"
+            )
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["s", "t", "i", "j", "crosscov"])
@@ -214,13 +236,17 @@ def run_extended_bootstrap(
     n = config.n_particles
     d = config.kernel.dim
     lag = config.lag
-    window = min(2 * lag + 1, horizon)
+    theta = config.theta
 
-    hist = np.empty((n, window, d))
-    filled = 0
+    if lag:
+        # a read-off at step u touches prefixes u - 2*lag .. u + 1
+        slots = min(2 * lag + 2, horizon + 1)
+        prefix = np.zeros((n, slots, d))  # P_0 = 0 in slot 0
+        gathered = np.empty_like(prefix)
     means = np.full((horizon, d), np.nan)
     covariances = np.full((horizon, d, d), np.nan)
-    crosscovs: dict = {}
+    pair_sums = np.full((horizon, d, d), np.nan)
+    crosscovs = {} if config.pairwise else None
     readoff_horizon = np.zeros(horizon, dtype=np.int64)
     ess_trace = np.empty(horizon)
     loglik = 0.0
@@ -228,23 +254,28 @@ def run_extended_bootstrap(
     x = None
 
     def read_off(t, u, w):
-        newest = filled - 1
-        offset = newest - (u - t)
-        assert offset >= 0, "parameter history window underflow"
-        theta_t = hist[:, offset, :]
-        mean, cov = kernels.weighted_mean_cov(theta_t, w)
-        means[t] = mean
-        covariances[t] = cov
         readoff_horizon[t] = u + 1
-        for s in range(max(0, t - lag), t):
-            off_s = newest - (u - s)
-            assert off_s >= 0, "parameter history window underflow"
-            crosscovs[(s, t)] = kernels.weighted_crosscov(
-                hist[:, off_s, :], theta_t, w
-            )
+        if not lag:
+            means[t], covariances[t] = kernels.weighted_mean_cov(thetas, w)
+            pair_sums[t] = 0.0
+            return
+        p_t = prefix[:, t % slots]
+        draw = prefix[:, (t + 1) % slots] - p_t
+        mean, covariances[t] = kernels.weighted_mean_cov(draw, w)
+        means[t] = theta + mean
+        first = max(0, t - lag)
+        if t == first:
+            pair_sums[t] = 0.0
+        else:
+            window = p_t - prefix[:, first % slots]
+            pair_sums[t] = kernels.weighted_crosscov(window, draw, w)
+        if crosscovs is not None:
+            for s in range(first, t):
+                draw_s = prefix[:, (s + 1) % slots] - prefix[:, s % slots]
+                crosscovs[(s, t)] = kernels.weighted_crosscov(draw_s, draw, w)
 
     for u in range(horizon):
-        thetas = config.kernel.sample(config.theta, config.tau, rng, size=n)
+        thetas = config.kernel.sample(theta, config.tau, rng, size=n)
         if u == 0:
             x = model.init_sampler(thetas, rng)
         else:
@@ -252,8 +283,11 @@ def run_extended_bootstrap(
         logg = np.asarray(model.obs_logdensity(ys[u], x, thetas), dtype=np.float64)
         if logg.shape != (n,):
             raise ValueError(
-                f"obs_logdensity returned shape {logg.shape}, expected ({n},)"
+                f"obs_logdensity returned shape {logg.shape} at step {u + 1}, "
+                f"expected ({n},)"
             )
+        if not np.all(logg < np.inf):
+            raise ValueError(f"obs_logdensity returned NaN or +inf at step {u + 1}")
         logw = logg if log_prev is None else log_prev + logg
         if np.max(logw) == -np.inf:
             raise ParticleCollapseError(step=u + 1)
@@ -263,12 +297,8 @@ def run_extended_bootstrap(
         if weight_observer is not None:
             weight_observer(u + 1, w)
 
-        if filled < window:
-            hist[:, filled, :] = thetas
-            filled += 1
-        else:
-            hist[:, :-1, :] = hist[:, 1:, :]
-            hist[:, -1, :] = thetas
+        if lag:
+            np.add(prefix[:, u % slots], thetas - theta, out=prefix[:, (u + 1) % slots])
 
         t = u - lag
         if t >= 0:
@@ -284,21 +314,24 @@ def run_extended_bootstrap(
         if do_resample:
             ancestors = resample(w, config.resampling, rng)
             x = x[ancestors]
-            hist[:, :filled, :] = hist[ancestors, :filled, :]
+            if lag:
+                np.take(prefix, ancestors, axis=0, out=gathered, mode="clip")
+                prefix, gathered = gathered, prefix
             log_prev = None
         else:
-            log_prev = np.log(w)
+            log_prev = logw - lse
 
     return FixedLagAccumulator(
         means=means,
         covariances=covariances,
-        crosscovs=crosscovs,
+        pair_sums=pair_sums,
         loglik_estimate=loglik,
         readoff_horizon=readoff_horizon,
         ess_trace=ess_trace,
         tau=config.tau,
         lag=lag,
         n_particles=n,
+        crosscovs=crosscovs,
     )
 
 
@@ -339,20 +372,19 @@ def observed_info_from_accumulator(
 ) -> InfoEstimate:
     """Assemble the observed information from variances and in-lag pairs.
 
-    ``-sigma^-1 {sum_t var_t + sum_pairs (C + C.T) - tau^2 T sigma} sigma^-1
-    / tau^4``, symmetrized so the output equals its transpose bit-for-bit.
-    The pair sum symmetrizes each cross-covariance instead of doubling it,
-    which is exact for the true posterior and keeps the estimate symmetric.
+    ``-sigma^-1 {sum_t var_t + sum_t (A_t + A_t.T) - tau^2 T sigma} sigma^-1
+    / tau^4`` with ``A_t = pair_sums[t]``, symmetrized so the output equals
+    its transpose bit-for-bit.  The pair sum symmetrizes each cross-covariance
+    instead of doubling it, which is exact for the true posterior and keeps
+    the estimate symmetric.
     """
     _require_complete(acc)
     if tau <= 0.0:
         raise ValueError("tau must be > 0")
     d = acc.dim
     cov = _as_covariance(sigma, d)
-    inner = acc.covariances.sum(axis=0)
-    for c in acc.crosscovs.values():
-        inner = inner + (c + c.T)
-    inner = inner - tau**2 * acc.horizon * cov
+    pairs = acc.pair_sums.sum(axis=0)
+    inner = acc.covariances.sum(axis=0) + (pairs + pairs.T) - tau**2 * acc.horizon * cov
     half = np.linalg.solve(cov, inner)
     full = np.linalg.solve(cov, half.T).T / tau**4
     sym = -(full + full.T) / 2.0

@@ -1,11 +1,15 @@
 """Extended bootstrap filter, fixed-lag accumulation, and estimator assembly."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dfscore as dfs
+from dfscore import kernels
 from dfscore.harness import fit_loglog_slope
 from dfscore.models import gaussian_location_model
 from dfscore.smc import ExtendedFilterConfig, ParticleCollapseError, resample
@@ -245,7 +249,9 @@ def test_accumulator_completeness_and_horizons(horizon, lag):
     ssm = spec.state_space()
     theta = np.array([0.4])
     _, ys = dfs.simulate(ssm, theta, horizon, np.random.default_rng(5))
-    cfg = ExtendedFilterConfig(theta=theta, tau=0.1, kernel=K1, lag=lag, n_particles=64)
+    cfg = ExtendedFilterConfig(
+        theta=theta, tau=0.1, kernel=K1, lag=lag, n_particles=64, pairwise=True
+    )
     acc = dfs.run_extended_bootstrap(ssm, ys, cfg, rng=np.random.default_rng(6))
     assert acc.is_complete()
     expected_pairs = sum(min(t, lag) for t in range(horizon))
@@ -255,6 +261,129 @@ def test_accumulator_completeness_and_horizons(horizon, lag):
     for (s, t), c in acc.crosscovs.items():
         assert 1 <= t - s <= lag
         assert c.shape == (1, 1)
+
+
+def lgssm2_setup(horizon=12):
+    spec = dfs.LinearGaussianSSM(
+        free=("phi", "log_sigma_v"), fixed={"log_sigma_w": 0.0}, init="fixed", init_sd=1.0
+    )
+    ssm = spec.state_space()
+    _, ys = dfs.simulate(ssm, np.array([0.7, 0.0]), horizon, np.random.default_rng(8))
+    return ssm, ys
+
+
+def reference_filter(ssm, ys, cfg, rng):
+    """Full-history extended filter with one cross-covariance per pair.
+
+    Consumes the random stream exactly like ``run_extended_bootstrap``, so
+    both follow the same particle trajectories.
+    """
+    n, horizon, lag = cfg.n_particles, len(ys), cfg.lag
+    hist = np.empty((n, horizon, cfg.kernel.dim))
+    means = np.empty((horizon, cfg.kernel.dim))
+    covs = np.empty((horizon, cfg.kernel.dim, cfg.kernel.dim))
+    crosscovs = {}
+    log_prev = None
+    x = None
+    for u in range(horizon):
+        thetas = cfg.kernel.sample(cfg.theta, cfg.tau, rng, size=n)
+        x = ssm.init_sampler(thetas, rng) if u == 0 else ssm.transition_sampler(x, thetas, rng)
+        hist[:, u] = thetas
+        logw = ssm.obs_logdensity(ys[u], x, thetas)
+        if log_prev is not None:
+            logw = log_prev + logw
+        w, lse = kernels.normalize_log_weights(logw)
+        due = range(max(0, horizon - 1 - lag), horizon) if u == horizon - 1 else [u - lag]
+        for t in due:
+            if t >= 0:
+                means[t], covs[t] = kernels.weighted_mean_cov(hist[:, t], w)
+                for s in range(max(0, t - lag), t):
+                    crosscovs[(s, t)] = kernels.weighted_crosscov(hist[:, s], hist[:, t], w)
+        if cfg.ess_threshold is None or 1.0 / float(w @ w) < cfg.ess_threshold * n:
+            ancestors = resample(w, cfg.resampling, rng)
+            x, hist = x[ancestors], hist[ancestors]
+            log_prev = None
+        else:
+            log_prev = logw - lse
+    return means, covs, crosscovs
+
+
+@pytest.mark.parametrize("ess_threshold", [None, 0.5])
+@pytest.mark.parametrize("resampling", ["multinomial", "systematic"])
+@pytest.mark.parametrize("lag", [1, 3, 11, 17])  # T = 12: T-1 and T+5 included
+def test_pair_sums_match_pairwise_crosscovs(lag, resampling, ess_threshold):
+    ssm, ys = lgssm2_setup()
+    cfg = ExtendedFilterConfig(
+        theta=np.array([0.6, -0.1]), tau=0.05, kernel=dfs.make_gaussian_kernel([1.2, 1.2]),
+        lag=lag, n_particles=200, resampling=resampling, ess_threshold=ess_threshold,
+        pairwise=True,
+    )
+    acc = dfs.run_extended_bootstrap(ssm, ys, cfg, rng=np.random.default_rng(4))
+    ref_means, ref_covs, ref_pairs = reference_filter(ssm, ys, cfg, np.random.default_rng(4))
+    assert acc.is_complete()
+    assert sorted(acc.crosscovs) == sorted(ref_pairs)
+    for t in range(len(ys)):
+        pairs = [acc.crosscovs[(s, t)] for s in range(max(0, t - lag), t)]
+        scale = sum(np.abs(c).sum() for c in pairs)
+        assert np.abs(acc.pair_sums[t] - sum(pairs, np.zeros((2, 2)))).max() <= 1e-12 * scale
+        ref_sum = sum((ref_pairs[(s, t)] for s in range(max(0, t - lag), t)), np.zeros((2, 2)))
+        assert np.abs(acc.pair_sums[t] - ref_sum).max() <= 1e-12 * scale
+    np.testing.assert_allclose(acc.means, ref_means, rtol=1e-12)
+    np.testing.assert_allclose(acc.covariances, ref_covs, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("lag", [0, 3, 11])
+def test_pairwise_flag_leaves_estimates_bitwise_unchanged(lag):
+    ssm, ys = lgssm2_setup()
+    cfg = ExtendedFilterConfig(
+        theta=np.array([0.6, -0.1]), tau=0.05, kernel=dfs.make_gaussian_kernel([1.2, 1.2]),
+        lag=lag, n_particles=200, ess_threshold=0.5,
+    )
+    lean = dfs.run_extended_bootstrap(ssm, ys, cfg, rng=np.random.default_rng(3))
+    full = dfs.run_extended_bootstrap(
+        ssm, ys, dataclasses.replace(cfg, pairwise=True), rng=np.random.default_rng(3)
+    )
+    for name in ("means", "covariances", "pair_sums", "readoff_horizon", "ess_trace"):
+        assert np.array_equal(getattr(lean, name), getattr(full, name)), name
+    assert lean.loglik_estimate == full.loglik_estimate
+    assert lean.crosscovs is None
+    assert len(full.crosscovs) == sum(min(t, lag) for t in range(len(ys)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_bad_obs_logdensity_names_step_and_callable(bad):
+    model = flat_ssm()
+
+    def obs_logdensity(y, x, t):
+        out = np.full(x.shape[0], -1.0)
+        if y == 2.0:
+            out[5] = bad
+        return out
+
+    broken = dataclasses.replace(model, obs_logdensity=obs_logdensity)
+    cfg = ExtendedFilterConfig(theta=np.array([0.0]), tau=0.1, kernel=K1, lag=1, n_particles=16)
+    with pytest.raises(ValueError, match=r"obs_logdensity .*step 3"):
+        dfs.run_extended_bootstrap(broken, np.arange(4.0), cfg, rng=np.random.default_rng(0))
+
+
+def test_ess_mode_with_zero_weights_raises_no_warning():
+    # one particle always has zero weight and ESS = n - 1 never triggers
+    # resampling, so the zero weight is carried from step to step
+    n, horizon, c = 20, 6, -1.3
+    model = dataclasses.replace(
+        flat_ssm(),
+        obs_logdensity=lambda y, x, t: np.where(np.arange(x.shape[0]) == 0, -np.inf, c),
+    )
+    cfg = ExtendedFilterConfig(
+        theta=np.array([0.0]), tau=0.1, kernel=K1, lag=2, n_particles=n, ess_threshold=0.5
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        acc = dfs.run_extended_bootstrap(model, np.zeros(horizon), cfg, rng=np.random.default_rng(0))
+    np.testing.assert_allclose(acc.ess_trace, n - 1, rtol=1e-12)
+    expected = c * horizon + np.log((n - 1) / n)
+    assert abs(acc.loglik_estimate - expected) < 1e-12 * abs(expected)
+    assert acc.is_complete()
 
 
 def test_particle_collapse_reports_step():
@@ -348,9 +477,13 @@ def make_accumulator(rng, horizon=6, lag=2, d=2):
         for t in range(horizon)
         for s in range(max(0, t - lag), t)
     }
+    pair_sums = np.zeros((horizon, d, d))
+    for (s, t), c in crosscovs.items():
+        pair_sums[t] += c
     return dfs.FixedLagAccumulator(
         means=means,
         covariances=covs,
+        pair_sums=pair_sums,
         crosscovs=crosscovs,
         loglik_estimate=-1.0,
         readoff_horizon=np.minimum(np.arange(1, horizon + 1) + lag, horizon),
@@ -377,6 +510,7 @@ def test_info_zero_when_variances_match_prior():
     acc.covariances[:] = 0.1**2 * kern.covariance()
     for key in acc.crosscovs:
         acc.crosscovs[key] = np.zeros((2, 2))
+    acc.pair_sums[:] = 0.0
     info = dfs.observed_info_from_accumulator(acc, 0.1, kern)
     np.testing.assert_allclose(info.values, 0.0, atol=1e-10)
 
@@ -397,7 +531,7 @@ def test_incomplete_accumulator_rejected():
     with pytest.raises(ValueError):
         dfs.score_from_accumulator(acc, np.zeros(2), 0.1, kern)
     acc2 = make_accumulator(np.random.default_rng(3))
-    acc2.crosscovs.popitem()
+    acc2.pair_sums[3, 0, 1] = np.nan
     with pytest.raises(ValueError):
         dfs.observed_info_from_accumulator(acc2, 0.1, kern)
 
@@ -407,7 +541,9 @@ def test_accumulator_csv_dumps(tmp_path):
     ssm = spec.state_space()
     theta = np.array([0.5])
     _, ys = dfs.simulate(ssm, theta, 4, np.random.default_rng(0))
-    cfg = ExtendedFilterConfig(theta=theta, tau=0.1, kernel=K1, lag=1, n_particles=50)
+    cfg = ExtendedFilterConfig(
+        theta=theta, tau=0.1, kernel=K1, lag=1, n_particles=50, pairwise=True
+    )
     acc = dfs.run_extended_bootstrap(ssm, ys, cfg, rng=np.random.default_rng(1))
     moments = tmp_path / "moments.csv"
     cross = tmp_path / "cross.csv"
@@ -422,6 +558,12 @@ def test_accumulator_csv_dumps(tmp_path):
     s, t, i, j, value = clines[1].split(",")
     assert (s, t, i, j) == ("1", "2", "1", "1")
     float(value)
+    lean = dfs.run_extended_bootstrap(
+        ssm, ys, dataclasses.replace(cfg, pairwise=False), rng=np.random.default_rng(1)
+    )
+    assert lean.crosscovs is None
+    with pytest.raises(ValueError, match="pairwise=True"):
+        lean.save_crosscov_csv(tmp_path / "lean.csv")
 
 
 def test_filter_config_validation():
