@@ -35,6 +35,7 @@ from .state_space import (
     KalmanDerivatives,
     LinearGaussianSSM,
     OracleAccuracyWarning,
+    ParameterDomainError,
     StateSpaceModel,
     joint_gaussian_loglik,
     kalman_loglik,
@@ -60,6 +61,7 @@ __all__ = [
     "KalmanDerivatives",
     "LinearGaussianSSM",
     "OracleAccuracyWarning",
+    "ParameterDomainError",
     "ParticleCollapseError",
     "PerturbationKernel",
     "PosteriorMoments",

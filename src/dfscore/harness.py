@@ -52,6 +52,7 @@ from .smc import (
 from .state_space import (
     PARAM_NAMES,
     LinearGaussianSSM,
+    ParameterDomainError,
     kalman_score_info,
     load_observations,
     make_nonlinear_shock_model,
@@ -674,7 +675,11 @@ def _run_one(config: ExperimentConfig, bundle, point, rep) -> list:
             comps = score_comps(bundle.oracle_score) + info_comps(bundle.oracle_info)
         else:  # pragma: no cover - guarded by config validation
             raise ConfigError(f"unknown method {method!r}")
-    except (ParticleCollapseError, DegeneratePosteriorError) as exc:
+    except (
+        ParticleCollapseError,
+        DegeneratePosteriorError,
+        ParameterDomainError,
+    ) as exc:
         wall = (time.perf_counter() - t0) * 1e3
         empty = [(i, None, None) for i in range(d)]
         if method.endswith("oim"):

@@ -76,8 +76,10 @@ def weighted_mean_cov_np(x, w):
     mean = w @ x
     dx = x - mean
     cov = (dx * w[:, None]).T @ dx
-    i, j = np.triu_indices(cov.shape[0], k=1)
-    cov[j, i] = cov[i, j]
+    d = cov.shape[0]
+    for a in range(d):
+        for b in range(a + 1, d):
+            cov[b, a] = cov[a, b]
     return mean, cov
 
 

@@ -12,14 +12,26 @@ model.
 Covariance is bilinear, so ``sum_s Cov_w(theta_s, theta_t)`` over the lag
 window equals ``Cov_w(S_t, theta_t)`` with ``S_t`` the window sum of the
 parameters along each particle's ancestral line: one cross-covariance per
-read-off, whatever the lag.  Each particle carries prefix sums
-``P_k = sum_{s<k} (theta_s - theta)`` of its centred draws in a ring of
-``min(2*lag + 2, T + 1)`` slots (prefix ``k`` in slot ``k % slots``), stored
-particle-major ``(n, slots, d)`` so resampling gathers whole rows.  The
-window sum is ``P_t - P_f`` with ``f = max(0, t - lag)`` and the draw
-itself is ``P_{t+1} - P_t``; centring keeps both differences at the scale
-of the draws.  At lag 0 there is no window and the read-off uses the current
-draws directly.
+read-off, whatever the lag.  ``S_t`` and the draw itself are differences of
+prefix sums ``P_k = sum_{s<k} (theta_s - theta)`` of the centred draws taken
+along the ancestral line: ``S_t = P_t - P_f`` with ``f = max(0, t - lag)``,
+and ``theta_t - theta = P_{t+1} - P_t``.  Centring keeps both differences
+at the scale of the draws.
+
+The prefix sums live in a ring of ``slots = min(2*lag + 2, T + 1)`` slots
+(prefix ``k`` in slot ``k % slots``) split into two arrays:
+
+* ``values`` ``(slots, n, d)`` float64: slot ``k % slots`` holds ``P_k`` of
+  the particles alive at the step that wrote it, row per particle.  A slot
+  is written once and never moved.
+* ``lineage`` ``(n, slots)`` int32: ``lineage[i, k % slots]`` is the row,
+  within that slot, of current particle ``i``'s ancestor.
+
+Looking a prefix up is ``np.take(values[k], lineage[:, k], axis=0)``, and
+resampling gathers only the ``lineage`` rows, never the float values.  Every
+prefix and every difference is the same float a ring of per-particle paths
+would hold.  At lag 0 there is no window and the read-off uses the current
+draws directly, without a ring.
 
 Particles are otherwise stored struct-of-arrays: states ``(n,)`` and one
 weight vector.  Moment read-off happens after weighting and before
@@ -187,7 +199,12 @@ def resample(weights, scheme: str, rng: np.random.Generator) -> np.ndarray:
 
     Multinomial draws i.i.d. categorical ancestors; systematic uses a single
     uniform and stratified inversion.  Both are unbiased in expected
-    offspring counts.
+    offspring counts.  The multinomial positions are the order statistics
+    of ``n`` uniforms, made in O(n) from normalised cumulative sums of
+    ``n + 1`` standard exponentials, so under either scheme the positions
+    are sorted and the returned ancestors are nondecreasing.  (Earlier
+    versions inverted unsorted uniforms, so multinomial trajectories for a
+    given seed differ from theirs.)
     """
     weights = np.asarray(weights, dtype=np.float64)
     if np.any(weights < 0.0) or not np.all(np.isfinite(weights)):
@@ -198,7 +215,8 @@ def resample(weights, scheme: str, rng: np.random.Generator) -> np.ndarray:
     n = weights.shape[0]
     cumw = np.cumsum(weights / total)
     if scheme == "multinomial":
-        positions = rng.random(n)
+        spacings = np.cumsum(rng.standard_exponential(n + 1))
+        positions = spacings[:-1] / spacings[-1]
     elif scheme == "systematic":
         positions = (rng.random() + np.arange(n)) / n
     else:
@@ -241,8 +259,10 @@ def run_extended_bootstrap(
     if lag:
         # a read-off at step u touches prefixes u - 2*lag .. u + 1
         slots = min(2 * lag + 2, horizon + 1)
-        prefix = np.zeros((n, slots, d))  # P_0 = 0 in slot 0
-        gathered = np.empty_like(prefix)
+        values = np.zeros((slots, n, d))  # P_0 = 0 in slot 0
+        rows = np.arange(n, dtype=np.int32)
+        lineage = np.repeat(rows[:, None], slots, axis=1)
+        spare = np.empty_like(lineage)
     means = np.full((horizon, d), np.nan)
     covariances = np.full((horizon, d, d), np.nan)
     pair_sums = np.full((horizon, d, d), np.nan)
@@ -253,25 +273,30 @@ def run_extended_bootstrap(
     log_prev = None  # None encodes uniform weights from the last resampling
     x = None
 
+    def prefix(k):
+        """``P_k`` of the current particles, ``(n, d)``."""
+        k %= slots
+        return np.take(values[k], lineage[:, k], axis=0)
+
     def read_off(t, u, w):
         readoff_horizon[t] = u + 1
         if not lag:
             means[t], covariances[t] = kernels.weighted_mean_cov(thetas, w)
             pair_sums[t] = 0.0
             return
-        p_t = prefix[:, t % slots]
-        draw = prefix[:, (t + 1) % slots] - p_t
+        p_t = prefix(t)
+        draw = prefix(t + 1) - p_t
         mean, covariances[t] = kernels.weighted_mean_cov(draw, w)
         means[t] = theta + mean
         first = max(0, t - lag)
         if t == first:
             pair_sums[t] = 0.0
         else:
-            window = p_t - prefix[:, first % slots]
+            window = p_t - prefix(first)
             pair_sums[t] = kernels.weighted_crosscov(window, draw, w)
         if crosscovs is not None:
             for s in range(first, t):
-                draw_s = prefix[:, (s + 1) % slots] - prefix[:, s % slots]
+                draw_s = prefix(s + 1) - prefix(s)
                 crosscovs[(s, t)] = kernels.weighted_crosscov(draw_s, draw, w)
 
     for u in range(horizon):
@@ -298,7 +323,9 @@ def run_extended_bootstrap(
             weight_observer(u + 1, w)
 
         if lag:
-            np.add(prefix[:, u % slots], thetas - theta, out=prefix[:, (u + 1) % slots])
+            new = (u + 1) % slots
+            np.add(prefix(u), thetas - theta, out=values[new])
+            lineage[:, new] = rows
 
         t = u - lag
         if t >= 0:
@@ -313,10 +340,10 @@ def run_extended_bootstrap(
             do_resample = ess_trace[u] < config.ess_threshold * n
         if do_resample:
             ancestors = resample(w, config.resampling, rng)
-            x = x[ancestors]
+            x = np.take(x, ancestors, axis=0)
             if lag:
-                np.take(prefix, ancestors, axis=0, out=gathered, mode="clip")
-                prefix, gathered = gathered, prefix
+                np.take(lineage, ancestors, axis=0, out=spare, mode="clip")
+                lineage, spare = spare, lineage
             log_prev = None
         else:
             log_prev = logw - lse

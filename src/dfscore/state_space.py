@@ -25,6 +25,7 @@ __all__ = [
     "save_observations",
     "load_observations",
     "LinearGaussianSSM",
+    "ParameterDomainError",
     "kalman_loglik",
     "joint_gaussian_loglik",
     "KalmanDerivatives",
@@ -35,6 +36,14 @@ __all__ = [
 ]
 
 PARAM_NAMES = ("phi", "log_sigma_v", "log_sigma_w")
+
+
+class ParameterDomainError(ValueError):
+    """A parameter value lies outside the model's domain.
+
+    Raised per run (for instance when a perturbed draw leaves the stationary
+    region), so the harness records it as a failed run instead of aborting.
+    """
 
 
 @dataclass(frozen=True)
@@ -175,7 +184,7 @@ class LinearGaussianSSM:
 
     def _check_phi(self, phi) -> None:
         if self.init == "stationary" and np.any(np.abs(phi) >= 1.0):
-            raise ValueError(
+            raise ParameterDomainError(
                 "stationary initial law needs |phi| < 1; use init='fixed' or "
                 "a smaller perturbation scale"
             )

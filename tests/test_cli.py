@@ -117,6 +117,21 @@ def test_all_runs_failed_exit_code(tmp_path):
     assert "DegeneratePosteriorError" in out.read_text()
 
 
+def test_stationary_init_out_of_domain_draws_are_tagged_rows(tmp_path):
+    # theta = 0.95 with tau = 0.3 perturbs some particles to |phi| >= 1,
+    # which the stationary initial law cannot take
+    text = SMC_POINT.replace("init = fixed\ninit_sd = 1.0", "init = stationary")
+    text = text.replace("method = smc-score", "method = smc-oim")
+    text = text.replace("theta = 0.4", "theta = 0.95").replace("tau = 0.1", "tau = 0.3")
+    config = write(tmp_path, text, "stationary.ini")
+    out = tmp_path / "st.csv"
+    assert main(["estimate", "--config", config, "--out", str(out)]) == EXIT_ALL_FAILED
+    header, *rows = out.read_text().splitlines()
+    assert header.endswith(",error")
+    assert len(rows) == 2  # one 1x1 information row per replication
+    assert all(row.endswith(",ParameterDomainError") for row in rows)
+
+
 def test_console_entry_point_runs(tmp_path):
     config = write(tmp_path, SMC_POINT, "smc.ini")
     out = tmp_path / "sub.csv"

@@ -1,6 +1,7 @@
 """Extended bootstrap filter, fixed-lag accumulation, and estimator assembly."""
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -73,6 +74,45 @@ def test_resample_rejects_bad_weights():
         resample(np.array([0.5, -0.5]), "multinomial", rng)
     with pytest.raises(ValueError):
         resample(np.array([0.5, 0.5]), "stratified-nope", rng)
+
+
+@pytest.mark.parametrize("scheme", ["multinomial", "systematic"])
+def test_ancestors_are_nondecreasing(scheme):
+    rng = np.random.default_rng(5)
+    for n in (2, 7, 100, 5000):
+        for _ in range(20):
+            w = rng.gamma(0.3, size=n)
+            w[rng.random(n) < 0.2] = 0.0
+            if w.sum() == 0.0:
+                w[0] = 1.0
+            idx = resample(w, scheme, rng)
+            assert idx.shape == (n,)
+            assert np.all(np.diff(idx) >= 0)
+            assert np.all(w[idx] > 0.0)
+
+
+def test_multinomial_offspring_count_variance():
+    # four heavy particles and 96 light ones; the heavy offspring counts
+    # are Binomial(n, w_i), with variance n w_i (1 - w_i) between 4.75 and
+    # 16, while systematic counts only take the two integers around n w_i
+    n, reps = 100, 4000
+    heavy = np.array([0.1, 0.15, 0.2, 0.05])
+    w = np.concatenate([heavy, np.full(n - 4, (1.0 - heavy.sum()) / (n - 4))])
+    counts = {}
+    for scheme in ("multinomial", "systematic"):
+        rng = np.random.default_rng(12)
+        counts[scheme] = np.array(
+            [np.bincount(resample(w, scheme, rng), minlength=n)[:4] for _ in range(reps)]
+        )
+    var = n * heavy * (1.0 - heavy)
+    mu4 = var * (1.0 + 3.0 * (n - 2) * heavy * (1.0 - heavy))  # binomial 4th central moment
+    se = np.sqrt(mu4 / reps - var**2 * (reps - 3) / (reps * (reps - 1)))
+    sample_var = counts["multinomial"].var(axis=0, ddof=1)
+    assert np.all(np.abs(sample_var - var) < 4.0 * se)
+    np.testing.assert_allclose(counts["multinomial"].mean(axis=0), n * heavy, rtol=0.02)
+    spread = counts["systematic"].max(axis=0) - counts["systematic"].min(axis=0)
+    assert np.all(spread <= 1)
+    assert np.all(counts["systematic"].var(axis=0, ddof=1) < 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +388,99 @@ def test_pairwise_flag_leaves_estimates_bitwise_unchanged(lag):
     assert lean.loglik_estimate == full.loglik_estimate
     assert lean.crosscovs is None
     assert len(full.crosscovs) == sum(min(t, lag) for t in range(len(ys)))
+
+
+def float_ring_filter(ssm, ys, cfg, rng):
+    """Extended filter carrying whole prefix-sum rows per particle.
+
+    The ring is ``(n, slots, d)`` float64 and is gathered row by row at every
+    resampling, the layout the lineage ring replaces.  Consumes the random
+    stream like ``run_extended_bootstrap`` and calls the same kernels, so
+    the two must agree bit for bit.
+    """
+    n, horizon, lag, d = cfg.n_particles, len(ys), cfg.lag, cfg.kernel.dim
+    slots = min(2 * lag + 2, horizon + 1)
+    prefix = np.zeros((n, slots, d))
+    means = np.empty((horizon, d))
+    covs = np.empty((horizon, d, d))
+    pair_sums = np.empty((horizon, d, d))
+    crosscovs = {}
+    loglik, log_prev, x = 0.0, None, None
+    for u in range(horizon):
+        thetas = cfg.kernel.sample(cfg.theta, cfg.tau, rng, size=n)
+        x = ssm.init_sampler(thetas, rng) if u == 0 else ssm.transition_sampler(x, thetas, rng)
+        logg = ssm.obs_logdensity(ys[u], x, thetas)
+        logw = logg if log_prev is None else log_prev + logg
+        w, lse = kernels.normalize_log_weights(logw)
+        loglik += lse - (math.log(n) if log_prev is None else 0.0)
+        prefix[:, (u + 1) % slots] = prefix[:, u % slots] + (thetas - cfg.theta)
+        due = [u - lag] if u >= lag else []
+        if u == horizon - 1:
+            due += range(max(0, horizon - lag), horizon)
+        for t in due:
+            p_t = prefix[:, t % slots]
+            draw = prefix[:, (t + 1) % slots] - p_t
+            mean, covs[t] = kernels.weighted_mean_cov(draw, w)
+            means[t] = cfg.theta + mean
+            first = max(0, t - lag)
+            pair_sums[t] = 0.0
+            if t > first:
+                window = p_t - prefix[:, first % slots]
+                pair_sums[t] = kernels.weighted_crosscov(window, draw, w)
+            for s in range(first, t):
+                draw_s = prefix[:, (s + 1) % slots] - prefix[:, s % slots]
+                crosscovs[(s, t)] = kernels.weighted_crosscov(draw_s, draw, w)
+        if cfg.ess_threshold is None or 1.0 / float(w @ w) < cfg.ess_threshold * n:
+            ancestors = resample(w, cfg.resampling, rng)
+            x, prefix = x[ancestors], prefix[ancestors]
+            log_prev = None
+        else:
+            log_prev = logw - lse
+    return dict(
+        means=means, covariances=covs, pair_sums=pair_sums, loglik_estimate=loglik,
+        crosscovs=crosscovs,
+    )
+
+
+@pytest.mark.parametrize("ess_threshold", [None, 0.5])
+@pytest.mark.parametrize("resampling", ["multinomial", "systematic"])
+@pytest.mark.parametrize("lag", [1, 3, 11, 17])  # T = 12: T-1 and T+5 included
+def test_lineage_ring_matches_float_ring_bitwise(lag, resampling, ess_threshold):
+    ssm, ys = lgssm2_setup()
+    cfg = ExtendedFilterConfig(
+        theta=np.array([0.6, -0.1]), tau=0.05, kernel=dfs.make_gaussian_kernel([1.2, 1.2]),
+        lag=lag, n_particles=200, resampling=resampling, ess_threshold=ess_threshold,
+        pairwise=True,
+    )
+    acc = dfs.run_extended_bootstrap(ssm, ys, cfg, rng=np.random.default_rng(6))
+    ref = float_ring_filter(ssm, ys, cfg, np.random.default_rng(6))
+    for name in ("means", "covariances", "pair_sums"):
+        assert np.array_equal(getattr(acc, name), ref[name]), name
+    assert acc.loglik_estimate == ref["loglik_estimate"]
+    assert sorted(acc.crosscovs) == sorted(ref["crosscovs"])
+    for key, c in acc.crosscovs.items():
+        assert np.array_equal(c, ref["crosscovs"][key]), key
+
+
+@pytest.mark.parametrize("ess_threshold", [None, 0.5])
+@pytest.mark.parametrize("resampling", ["multinomial", "systematic"])
+def test_rng_use_does_not_depend_on_lag(resampling, ess_threshold):
+    ssm, ys = lgssm2_setup()
+    horizon = len(ys)
+    runs = []
+    for lag in (0, 3, horizon - 1, horizon + 5):
+        cfg = ExtendedFilterConfig(
+            theta=np.array([0.6, -0.1]), tau=0.05, kernel=dfs.make_gaussian_kernel([1.2, 1.2]),
+            lag=lag, n_particles=200, resampling=resampling, ess_threshold=ess_threshold,
+        )
+        rng = np.random.default_rng(9)
+        acc = dfs.run_extended_bootstrap(ssm, ys, cfg, rng=rng)
+        runs.append((rng.bit_generator.state, acc.loglik_estimate, acc.ess_trace))
+    state0, loglik0, ess0 = runs[0]
+    for state, loglik, ess in runs[1:]:
+        assert state == state0
+        assert loglik == loglik0
+        assert np.array_equal(ess, ess0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

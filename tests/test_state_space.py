@@ -9,6 +9,7 @@ import dfscore as dfs
 from dfscore.state_space import (
     LinearGaussianSSM,
     OracleAccuracyWarning,
+    ParameterDomainError,
     joint_gaussian_loglik,
     kalman_loglik,
     kalman_score_info,
@@ -95,6 +96,16 @@ def test_stationary_init_rejects_explosive_phi():
         spec.params(np.array([1.0, 0.0, 0.0]))
     # fixed init places no constraint
     FULL.params(np.array([1.2, 0.0, 0.0]))
+
+
+def test_explosive_phi_raises_typed_domain_error():
+    spec = LinearGaussianSSM(init="stationary")
+    assert issubclass(ParameterDomainError, ValueError)
+    with pytest.raises(ParameterDomainError, match=r"\|phi\| < 1"):
+        spec.params(np.array([1.0, 0.0, 0.0]))
+    thetas = np.array([[0.5, 0.0, 0.0], [-1.1, 0.0, 0.0]])
+    with pytest.raises(ParameterDomainError):
+        spec.state_space().init_sampler(thetas, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
