@@ -81,7 +81,10 @@ class PerturbationKernel:
             expected = (self.dim,) if size is None else (size, self.dim)
             if z.shape != expected:
                 raise ValueError(f"z has shape {z.shape}, expected {expected}")
-        return center + tau * (self.sigmas * z)
+        out = self.sigmas * z
+        out *= tau
+        out += center
+        return out
 
 
 def make_gaussian_kernel(sigmas) -> PerturbationKernel:

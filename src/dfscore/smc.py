@@ -50,6 +50,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
+from .general import _as_covariance
 from .perturbation import PerturbationKernel, make_gaussian_kernel
 from .results import InfoEstimate, ScoreEstimate
 from .state_space import StateSpaceModel
@@ -365,17 +366,6 @@ def run_extended_bootstrap(
 def _require_complete(acc: FixedLagAccumulator) -> None:
     if not acc.is_complete():
         raise ValueError("accumulator is incomplete; run the filter to horizon")
-
-
-def _as_covariance(sigma, dim: int) -> np.ndarray:
-    if isinstance(sigma, PerturbationKernel):
-        return sigma.covariance()
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if sigma.ndim == 1:
-        return np.diag(sigma)
-    if sigma.shape != (dim, dim):
-        raise ValueError(f"covariance has shape {sigma.shape}, expected ({dim}, {dim})")
-    return sigma
 
 
 def score_from_accumulator(

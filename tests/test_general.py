@@ -1,5 +1,7 @@
 """Importance-sampling estimators, FD baselines, and the quadrature oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -253,6 +255,120 @@ def test_grid_spec_floors():
         GridSpec(points_per_axis=500)
     with pytest.raises(ValueError):
         GridSpec(half_width_sds=4.0)
+
+
+def _point_array_quadrature(model, theta, tau, kernel, grid=GridSpec()):
+    # reference: every grid node as a row of an (m^d, d) point array, one
+    # likelihood call and one weighted_mean_cov over all nodes
+    m = grid.points_per_axis
+    axes, log_trap = [], []
+    for i in range(model.dim):
+        half = grid.half_width_sds * tau * kernel.sigmas[i]
+        axes.append(np.linspace(theta[i] - half, theta[i] + half, m))
+        coeff = np.full(m, axes[i][1] - axes[i][0])
+        coeff[0] *= 0.5
+        coeff[-1] *= 0.5
+        log_trap.append(np.log(coeff))
+    if model.dim == 1:
+        points = axes[0][:, None]
+        logw = log_trap[0]
+    else:
+        g0, g1 = np.meshgrid(axes[0], axes[1], indexing="ij")
+        points = np.column_stack([g0.ravel(), g1.ravel()])
+        logw = (log_trap[0][:, None] + log_trap[1][None, :]).ravel()
+    z = (points - theta) / (tau * kernel.sigmas)
+    log_post = model.log_likelihood(points) - 0.5 * np.sum(z * z, axis=1) + logw
+    w, _ = kernels.normalize_log_weights(log_post)
+    return kernels.weighted_mean_cov(points, w)
+
+
+def correlated_gaussian_model(mu, precision):
+    def log_likelihood(thetas):
+        diff = thetas - mu
+        return -0.5 * np.einsum("ni,ij,nj->n", diff, precision, diff)
+
+    return GeneralModel(dim=len(mu), log_likelihood=log_likelihood)
+
+
+@pytest.mark.parametrize(
+    "model, theta, sigmas, tau",
+    [
+        # non-zero off-diagonal precision, so the cross term is not zero
+        (
+            correlated_gaussian_model(np.array([1.0, 0.4]), np.array([[2.0, 0.8], [0.8, 1.5]])),
+            np.array([0.5, -0.3]),
+            [1.0, 2.5],
+            0.1,
+        ),
+        (poisson_loglink_model(3), THETA, [1.0], 0.05),
+    ],
+    ids=["gaussian-2d-correlated", "poisson-1d"],
+)
+def test_quadrature_matches_point_array_reference(model, theta, sigmas, tau):
+    kernel = dfs.make_gaussian_kernel(sigmas)
+    mom = dfs.posterior_moments_quadrature(model, theta, tau, kernel)
+    ref_mean, ref_cov = _point_array_quadrature(model, theta, tau, kernel)
+    np.testing.assert_allclose(mom.mean, ref_mean, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(mom.covariance, ref_cov, rtol=1e-12, atol=0)
+    if model.dim == 2:
+        assert abs(ref_cov[0, 1]) > 1e-4
+    assert mom.n == 2001**model.dim
+
+
+def test_quadrature_streams_grid_in_row_blocks():
+    calls = []
+
+    def log_likelihood(thetas):
+        calls.append(thetas.copy())
+        return np.zeros(thetas.shape[0])
+
+    theta = np.array([0.5, -0.2])
+    kernel = dfs.make_gaussian_kernel([1.0, 2.0])
+    dfs.posterior_moments_quadrature(GeneralModel(dim=2, log_likelihood=log_likelihood),
+                                     theta, 0.1, kernel)
+    m = GridSpec().points_per_axis
+    a0 = np.linspace(0.5 - 0.8, 0.5 + 0.8, m)
+    a1 = np.linspace(-0.2 - 1.6, -0.2 + 1.6, m)
+    g0, g1 = np.meshgrid(a0, a1, indexing="ij")
+    assert len(calls) > 1
+    assert all(c.shape[0] < m * m and c.shape[0] % m == 0 for c in calls)
+    np.testing.assert_array_equal(np.concatenate(calls), np.column_stack([g0.ravel(), g1.ravel()]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_quadrature_bad_value_in_one_block_raises(bad):
+    theta = np.array([0.5, -0.2])
+
+    def log_likelihood(thetas):
+        out = np.zeros(thetas.shape[0])
+        out[thetas[:, 0] > theta[0] + 0.79] = bad  # only the last grid rows
+        return out
+
+    with pytest.raises(ValueError, match="finite values or -inf"):
+        dfs.posterior_moments_quadrature(GeneralModel(dim=2, log_likelihood=log_likelihood),
+                                         theta, 0.1, dfs.make_gaussian_kernel([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_quadrature_all_minus_inf_is_degenerate(dim):
+    model = GeneralModel(dim=dim, log_likelihood=lambda t: np.full(t.shape[0], -np.inf))
+    with pytest.raises(DegeneratePosteriorError):
+        dfs.posterior_moments_quadrature(model, np.zeros(dim), 0.1,
+                                         dfs.make_gaussian_kernel([1.0] * dim))
+
+
+def test_quadrature_2d_peak_memory_is_bounded():
+    # the (m, m) float64 log-posterior matrix is 32 MB at m = 2001; a point
+    # array of all m^2 nodes with its temporaries peaks near 460 MB
+    model = gaussian_location_model(y=0.3, dim=2)
+    kernel = dfs.make_gaussian_kernel([1.0, 2.5])
+    tracemalloc.start()
+    try:
+        dfs.posterior_moments_quadrature(model, np.array([0.5, -0.2]), 0.1, kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_is_converges_to_quadrature_moments():

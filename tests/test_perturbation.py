@@ -128,3 +128,26 @@ def test_scale_equivalence_power_of_two(sigmas, tau, log2c, seed):
     np.testing.assert_array_equal(
         k1.sample(center, tau, z=z), k2.sample(center, tau / c, z=z)
     )
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    sigmas=safe_sigmas,
+    tau=st.one_of(st.just(0.0), st.floats(min_value=0.001, max_value=2.0)),
+    size=st.one_of(st.none(), st.integers(min_value=1, max_value=7)),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_sample_is_bitwise_affine_map_and_keeps_injected_z(sigmas, tau, size, seed):
+    k = make_gaussian_kernel(sigmas)
+    shape = (k.dim,) if size is None else (size, k.dim)
+    rng = np.random.default_rng(seed)
+    center = rng.normal(size=k.dim)
+    z = rng.normal(size=shape)
+    z_before = z.copy()
+    out = k.sample(center, tau, size=size, z=z)
+    np.testing.assert_array_equal(out, center + tau * (k.sigmas * z))
+    np.testing.assert_array_equal(z, z_before)
+    assert out.shape == shape
+    drawn = k.sample(center, tau, np.random.default_rng(seed), size=size)
+    z_drawn = np.random.default_rng(seed).standard_normal(shape)
+    np.testing.assert_array_equal(drawn, center + tau * (k.sigmas * z_drawn))
