@@ -20,7 +20,7 @@ from .general import (
     score_from_moments,
 )
 from .perturbation import PerturbationKernel, make_gaussian_kernel
-from .results import EstimateReport, InfoEstimate, ScoreEstimate
+from .results import InfoEstimate, ScoreEstimate
 from .smc import (
     ExtendedFilterConfig,
     FixedLagAccumulator,
@@ -51,7 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DegeneratePosteriorError",
-    "EstimateReport",
     "ExtendedFilterConfig",
     "FDConfig",
     "FixedLagAccumulator",

@@ -236,53 +236,68 @@ def posterior_moments_quadrature(
     return PosteriorMoments(mean=mean, covariance=cov, ess=None, n=weights.size)
 
 
-def _as_covariance(sigma, dim: int) -> np.ndarray:
-    """Normalize a kernel, a variance diagonal, or a full matrix to (d, d)."""
-    if isinstance(sigma, PerturbationKernel):
-        return sigma.covariance()
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if sigma.ndim == 1:
-        return np.diag(sigma)
-    if sigma.shape != (dim, dim):
-        raise ValueError(f"covariance has shape {sigma.shape}, expected ({dim}, {dim})")
-    return sigma
+def _kernel_variances(sigma, dim: int) -> np.ndarray:
+    """Diagonal of the kernel covariance, checked against the estimate's dim."""
+    if not isinstance(sigma, PerturbationKernel):
+        raise TypeError(f"sigma must be a PerturbationKernel, got {type(sigma).__name__}")
+    if sigma.dim != dim:
+        raise ValueError(f"kernel has dimension {sigma.dim}, estimate has {dim}")
+    return sigma.variances()
+
+
+def _rescale_score(displacement: np.ndarray, tau: float, sigma) -> np.ndarray:
+    """``Sigma^-1 displacement / tau^2`` for the diagonal kernel covariance.
+
+    ``displacement`` is ``E[theta] - theta`` for one perturbed parameter and
+    ``sum_t E[theta_t] - T theta`` for the filter's ``T`` step parameters.
+    """
+    if tau <= 0.0:
+        raise ValueError("tau must be > 0")
+    return displacement / _kernel_variances(sigma, displacement.size) / tau**2
+
+
+def _rescale_info(covariance: np.ndarray, horizon: int, tau: float, sigma) -> np.ndarray:
+    """``Sigma^-1 (T tau^2 Sigma - covariance) Sigma^-1 / tau^4``, symmetrized.
+
+    ``covariance`` is the posterior covariance of ``sum_t theta_t`` over the
+    ``T = horizon`` perturbed parameters.  The diagonal ``Sigma`` divides
+    elementwise through the outer product of the variances, and
+    ``(M + M.T) / 2`` makes the result symmetric exactly.
+    """
+    if tau <= 0.0:
+        raise ValueError("tau must be > 0")
+    var = _kernel_variances(sigma, covariance.shape[0])
+    deficit = np.diag(tau**2 * horizon * var) - covariance
+    full = deficit / np.outer(var, var) / tau**4
+    return (full + full.T) / 2.0
 
 
 def score_from_moments(
-    moments: PosteriorMoments, theta, tau: float, sigma
+    moments: PosteriorMoments, theta, tau: float, sigma: PerturbationKernel
 ) -> ScoreEstimate:
     """Rescale the posterior mean displacement into a score estimate.
 
-    Computes ``sigma^-1 (mean - theta) / tau^2``; the bias of the result is
-    second order in ``tau``.
+    Computes ``Sigma^-1 (mean - theta) / tau^2`` with ``Sigma`` the
+    covariance of the kernel ``sigma``; the bias of the result is second
+    order in ``tau``.
     """
-    theta = np.asarray(theta, dtype=np.float64)
     if not np.all(np.isfinite(moments.mean)):
         raise ValueError("posterior mean must be finite")
-    if tau <= 0.0:
-        raise ValueError("tau must be > 0")
-    cov = _as_covariance(sigma, theta.size)
-    values = np.linalg.solve(cov, moments.mean - theta) / tau**2
+    displacement = moments.mean - np.asarray(theta, dtype=np.float64)
+    values = _rescale_score(displacement, tau, sigma)
     return ScoreEstimate(values=values, tau=tau, n=moments.n, method="posterior-mean")
 
 
 def observed_info_from_moments(
-    moments: PosteriorMoments, tau: float, sigma
+    moments: PosteriorMoments, tau: float, sigma: PerturbationKernel
 ) -> InfoEstimate:
     """Rescale the posterior covariance deficit into an information estimate.
 
-    Computes ``sigma^-1 (tau^2 sigma - cov) sigma^-1 / tau^4`` and
-    symmetrizes as ``(M + M.T) / 2`` so the output is symmetric exactly.
+    Computes ``Sigma^-1 (tau^2 Sigma - cov) Sigma^-1 / tau^4`` with ``Sigma``
+    the covariance of the kernel ``sigma``, symmetric exactly.
     """
-    if tau <= 0.0:
-        raise ValueError("tau must be > 0")
-    d = moments.mean.size
-    cov = _as_covariance(sigma, d)
-    inner = tau**2 * cov - moments.covariance
-    half = np.linalg.solve(cov, inner)
-    full = np.linalg.solve(cov, half.T).T / tau**4
-    sym = (full + full.T) / 2.0
-    return InfoEstimate(values=sym, tau=tau, n=moments.n, method="posterior-cov")
+    values = _rescale_info(moments.covariance, 1, tau, sigma)
+    return InfoEstimate(values=values, tau=tau, n=moments.n, method="posterior-cov")
 
 
 @dataclass(frozen=True)

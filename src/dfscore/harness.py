@@ -17,14 +17,15 @@ from __future__ import annotations
 
 import configparser
 import csv
+import itertools
 import math
 import re
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .general import (
     score_from_moments,
 )
 from .models import gaussian_location_model, poisson_loglink_model
-from .perturbation import make_gaussian_kernel
+from .perturbation import PerturbationKernel, make_gaussian_kernel
 from .smc import (
     ExtendedFilterConfig,
     ParticleCollapseError,
@@ -53,6 +54,7 @@ from .state_space import (
     PARAM_NAMES,
     LinearGaussianSSM,
     ParameterDomainError,
+    kalman_loglik,
     kalman_score_info,
     load_observations,
     make_nonlinear_shock_model,
@@ -75,18 +77,6 @@ __all__ = [
     "compare_fd",
     "write_compare_csv",
 ]
-
-METHODS = (
-    "is-score",
-    "is-oim",
-    "quad-score",
-    "quad-oim",
-    "fd-score",
-    "fd-oim",
-    "smc-score",
-    "smc-oim",
-    "oracle",
-)
 
 MODEL_KINDS = ("conjugate-gaussian", "poisson", "lgssm", "nonlinear-ar1")
 
@@ -195,6 +185,10 @@ class ExperimentConfig:
             raise ConfigError("delta values must be >= 0", key="grid.delta")
         if any(h <= 0 for h in self.hs):
             raise ConfigError("h values must be > 0", key="grid.h")
+        if not all(0 < s < math.inf for s in self.kernel_sigmas):
+            raise ConfigError(
+                "kernel sigmas must be finite and > 0", key="estimator.kernel_sigmas"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +256,7 @@ def load_config(path) -> ExperimentConfig:
         model = parser["model"]
         est = parser["estimator"]
         grid = parser["grid"] if parser.has_section("grid") else {}
+        compare = parser["compare"] if parser.has_section("compare") else {}
         run = parser["run"]
     except KeyError as exc:
         raise ConfigError(f"missing section [{exc.args[0]}]", key=str(exc.args[0]))
@@ -270,13 +265,12 @@ def load_config(path) -> ExperimentConfig:
     if kind not in MODEL_KINDS:
         raise ConfigError(f"unknown model kind {kind!r}", key="model.kind")
 
-    model_params = {}
-    for key in _ALLOWED_KEYS["model"]:
-        if key in model and key != "kind":
-            model_params[key] = model[key]
+    model_params = {
+        key: model[key] for key in _ALLOWED_KEYS["model"] if key in model and key != "kind"
+    }
 
-    tau_rule = grid.get("tau_rule", "").strip() if grid else ""
-    taus_text = grid.get("tau", "").strip() if grid else ""
+    tau_rule = grid.get("tau_rule", "").strip()
+    taus_text = grid.get("tau", "").strip()
     if tau_rule:
         if taus_text:
             raise ConfigError(
@@ -306,22 +300,14 @@ def load_config(path) -> ExperimentConfig:
                 int(est["fd_particles"]) if est.get("fd_particles", "").strip() else None
             ),
             taus=_floats(taus_text) if taus_text else (0.1,),
-            ns=_ints(grid.get("n", "1000")) if grid else (1000,),
-            deltas=_ints(grid.get("delta", "0")) if grid else (0,),
-            hs=_floats(grid.get("h", "0.1")) if grid else (0.1,),
+            ns=_ints(grid.get("n", "1000")),
+            deltas=_ints(grid.get("delta", "0")),
+            hs=_floats(grid.get("h", "0.1")),
             tau_rule=tau_rule or None,
             replications=run.getint("replications", 1),
             base_seed=run.getint("seed", 0),
-            compare_target=(
-                parser["compare"].get("target", "score")
-                if parser.has_section("compare")
-                else "score"
-            ),
-            compare_smc_n=(
-                parser["compare"].getint("smc_n", 5000)
-                if parser.has_section("compare")
-                else 5000
-            ),
+            compare_target=compare.get("target", "score"),
+            compare_smc_n=int(compare.get("smc_n", "5000")),
         )
     except ValueError as exc:
         raise ConfigError(f"malformed value: {exc}")
@@ -380,59 +366,51 @@ def _model_float(params, key, default):
     return float(params[key]) if key in params else default
 
 
-def _build_lgssm(config: ExperimentConfig) -> LinearGaussianSSM:
-    params = config.model_params
-    free = tuple(
-        name.strip() for name in params.get("free", ",".join(PARAM_NAMES)).split(",")
-    )
+def _free_fixed(params, default_free: str):
+    """Free parameter names, and the values of the other named parameters."""
+    free = tuple(name.strip() for name in params.get("free", default_free).split(","))
     fixed = {
         name: float(params[name])
         for name in PARAM_NAMES
         if name not in free and name in params
     }
-    return LinearGaussianSSM(
-        free=free,
-        fixed=fixed,
-        init=params.get("init", "stationary"),
-        init_mean=_model_float(params, "init_mean", 0.0),
-        init_sd=_model_float(params, "init_sd", 1.0),
-    )
+    return free, fixed
+
+
+def _check_theta(theta: np.ndarray, dim: int) -> None:
+    if theta.size != dim:
+        raise ConfigError(
+            f"theta has {theta.size} values, the model has {dim} parameters",
+            key="estimator.theta",
+        )
 
 
 def build_model_bundle(config: ExperimentConfig) -> _ModelBundle:
     theta = np.asarray(config.theta, dtype=np.float64)
     params = config.model_params
-    if config.model_kind == "conjugate-gaussian":
-        dim = int(params.get("dim", len(theta)))
-        y = _model_float(params, "y", 0.0)
-        obs_sd = _model_float(params, "obs_sd", 1.0)
-        model = gaussian_location_model(y=y, obs_sd=obs_sd, dim=dim)
-        score = (np.full(dim, y) - theta) / obs_sd**2
-        info = np.eye(dim) / obs_sd**2
+    if config.model_kind in ("conjugate-gaussian", "poisson"):
+        if config.model_kind == "conjugate-gaussian":
+            dim = int(params.get("dim", len(theta)))
+            y = _model_float(params, "y", 0.0)
+            obs_sd = _model_float(params, "obs_sd", 1.0)
+            model = gaussian_location_model(y=y, obs_sd=obs_sd, dim=dim)
+            _check_theta(theta, dim)
+            score = (np.full(dim, y) - theta) / obs_sd**2
+            info = np.eye(dim) / obs_sd**2
+        else:
+            y = int(float(params.get("y", "1")))
+            model = poisson_loglink_model(y)
+            _check_theta(theta, 1)
+            with np.errstate(over="ignore"):
+                rate = np.exp(theta[0])
+            score = np.array([y - rate])
+            info = np.array([[rate]])
 
         def loglik_point(th, rng):
             return float(model.log_likelihood(np.atleast_2d(th))[0])
 
         return _ModelBundle(
-            dim=dim,
-            general=model,
-            loglik_point=loglik_point,
-            oracle_score=score,
-            oracle_info=info,
-        )
-    if config.model_kind == "poisson":
-        y = int(float(params.get("y", "1")))
-        model = poisson_loglink_model(y)
-        with np.errstate(over="ignore"):
-            rate = np.exp(theta[0])
-        score = np.array([y - rate])
-        info = np.array([[rate]])
-
-        def loglik_point(th, rng):
-            return float(model.log_likelihood(np.atleast_2d(th))[0])
-
-        return _ModelBundle(
-            dim=1,
+            dim=model.dim,
             general=model,
             loglik_point=loglik_point,
             oracle_score=score,
@@ -441,25 +419,25 @@ def build_model_bundle(config: ExperimentConfig) -> _ModelBundle:
 
     # state-space kinds
     horizon = int(params.get("horizon", "50"))
+    init_mean = _model_float(params, "init_mean", 0.0)
+    init_sd = _model_float(params, "init_sd", 1.0)
+    spec = None
     if config.model_kind == "lgssm":
-        spec = _build_lgssm(config)
-        ssm = spec.state_space()
-    else:
-        free = tuple(
-            name.strip() for name in params.get("free", "phi").split(",")
-        )
-        fixed = {
-            name: float(params[name])
-            for name in PARAM_NAMES
-            if name not in free and name in params
-        }
-        spec = None
-        ssm = make_nonlinear_shock_model(
+        free, fixed = _free_fixed(params, ",".join(PARAM_NAMES))
+        spec = LinearGaussianSSM(
             free=free,
             fixed=fixed,
-            init_mean=_model_float(params, "init_mean", 0.0),
-            init_sd=_model_float(params, "init_sd", 1.0),
+            init=params.get("init", "stationary"),
+            init_mean=init_mean,
+            init_sd=init_sd,
         )
+        ssm = spec.state_space()
+    else:
+        free, fixed = _free_fixed(params, "phi")
+        ssm = make_nonlinear_shock_model(
+            free=free, fixed=fixed, init_mean=init_mean, init_sd=init_sd
+        )
+    _check_theta(theta, ssm.param_dim)
     if params.get("data_csv", "").strip():
         ys = load_observations(params["data_csv"].strip())
     else:
@@ -472,19 +450,13 @@ def build_model_bundle(config: ExperimentConfig) -> _ModelBundle:
         data_rng = np.random.default_rng(int(params.get("data_seed", "0")))
         _, ys = simulate(ssm, theta_true, horizon, data_rng)
     bundle = _ModelBundle(dim=ssm.param_dim, ssm=ssm, ys=ys, horizon=len(ys))
-    if config.model_kind == "lgssm":
+    if spec is not None:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             der = kalman_score_info(spec, theta, ys)
         bundle.oracle_score = der.score
         bundle.oracle_info = der.info
-
-        def loglik_point(th, rng, spec=spec, ys=ys):
-            from .state_space import kalman_loglik
-
-            return kalman_loglik(spec, th, ys)
-
-        bundle.loglik_point = loglik_point
+        bundle.loglik_point = lambda th, rng: kalman_loglik(spec, th, ys)
     return bundle
 
 
@@ -503,197 +475,225 @@ class _GridPoint:
 
 
 def _build_grid(config: ExperimentConfig) -> list:
-    points = []
-    index = 0
     if config.tau_rule:
         match = _TAU_RULE_RE.match(config.tau_rule)
-        exponent = Fraction(int(match.group(1)), int(match.group(2)))
-        for n in config.ns:
-            for delta in config.deltas:
-                for h in config.hs:
-                    points.append(
-                        _GridPoint(index, float(n) ** float(exponent), n, delta, h)
-                    )
-                    index += 1
-        return points
-    for tau in config.taus:
-        for n in config.ns:
-            for delta in config.deltas:
-                for h in config.hs:
-                    points.append(_GridPoint(index, tau, n, delta, h))
-                    index += 1
-    return points
+        exponent = float(Fraction(int(match.group(1)), int(match.group(2))))
+        tau_n = [(float(n) ** exponent, n) for n in config.ns]
+    else:
+        tau_n = [(tau, n) for tau in config.taus for n in config.ns]
+    axes = itertools.product(tau_n, config.deltas, config.hs)
+    return [
+        _GridPoint(index, tau, n, delta, h)
+        for index, ((tau, n), delta, h) in enumerate(axes)
+    ]
 
 
-def _smc_loglik_eval(bundle, config, point, seed_word):
-    """Noisy SMC likelihood evaluator for FD on sample-only models."""
-    n_fd = config.fd_particles or point.n
+# Model-level failures: a run tags its rows with the class name instead of
+# aborting the sweep.
+_RUN_FAILURES = (ParticleCollapseError, DegeneratePosteriorError, ParameterDomainError)
 
-    def loglik(th, rng):
-        return bootstrap_loglik(
-            bundle.ssm, bundle.ys, th, n_fd, rng, resampling=config.resampling
-        )
 
-    return loglik
+class _Task(NamedTuple):
+    """One replication at one grid point, as a source's estimate sees it."""
+
+    config: ExperimentConfig
+    bundle: _ModelBundle
+    point: _GridPoint
+    theta: np.ndarray
+    kernel: PerturbationKernel
+    rng: np.random.Generator
+    seed_word: int
+
+
+# Each estimate returns a list of (d,) score and (d, d) information arrays.
+# The dfscore calls go through this module's globals at call time, so a
+# function rebound on the module is the one that runs.
+
+
+def _rescaled(moments, task: _Task, target: str) -> list:
+    tau, kernel = task.point.tau, task.kernel
+    if target == "score":
+        return [score_from_moments(moments, task.theta, tau, kernel).values]
+    return [observed_info_from_moments(moments, tau, kernel).values]
+
+
+def _is_estimate(task: _Task, target: str) -> list:
+    point = task.point
+    moments = posterior_moments_is(
+        task.bundle.general, task.theta, point.tau, task.kernel, point.n, task.rng
+    )
+    return _rescaled(moments, task, target)
+
+
+def _quad_estimate(task: _Task, target: str) -> list:
+    moments = posterior_moments_quadrature(
+        task.bundle.general, task.theta, task.point.tau, task.kernel
+    )
+    return _rescaled(moments, task, target)
+
+
+def _fd_estimate(task: _Task, target: str) -> list:
+    config, bundle = task.config, task.bundle
+    loglik = bundle.loglik_point
+    if config.loglik_source == "smc" and bundle.ssm is not None:
+        n_fd = config.fd_particles or task.point.n
+
+        def loglik(th, rng):
+            return bootstrap_loglik(
+                bundle.ssm, bundle.ys, th, n_fd, rng, resampling=config.resampling
+            )
+
+    fd = fd_score if target == "score" else fd_info
+    fd_cfg = FDConfig(h=task.point.h, base_seed=task.seed_word)
+    return [fd(loglik, task.theta, fd_cfg).values]
+
+
+def _smc_estimate(task: _Task, target: str) -> list:
+    point = task.point
+    filter_cfg = ExtendedFilterConfig(
+        theta=task.theta,
+        tau=point.tau,
+        kernel=task.kernel,
+        lag=point.delta,
+        n_particles=point.n,
+        resampling=task.config.resampling,
+        ess_threshold=task.config.ess_threshold,
+    )
+    acc = run_extended_bootstrap(task.bundle.ssm, task.bundle.ys, filter_cfg, rng=task.rng)
+    if target == "score":
+        return [score_from_accumulator(acc, task.theta, point.tau, task.kernel).values]
+    return [observed_info_from_accumulator(acc, point.tau, task.kernel).values]
+
+
+def _oracle_estimate(task: _Task, target: str) -> list:
+    return [task.bundle.oracle_score, task.bundle.oracle_info]
+
+
+# What a source needs of the model: (holds(config, bundle), what, config key).
+_GENERAL = (
+    lambda c, b: b.general is not None,
+    "a conjugate-gaussian or poisson model",
+    "estimator.method",
+)
+_AT_MOST_2D = (
+    lambda c, b: b.dim <= 2, "a model with at most 2 parameters", "estimator.method"
+)
+_KERNEL = (
+    lambda c, b: len(c.kernel_sigmas) == b.dim,
+    "{dim} kernel sigmas, one per model parameter",
+    "estimator.kernel_sigmas",
+)
+_SSM = (lambda c, b: b.ssm is not None, "a state-space model", "estimator.method")
+_LOGLIK = (
+    lambda c, b: b.loglik_point is not None
+    or (b.ssm is not None and c.loglik_source == "smc"),
+    "an exact log-likelihood or loglik_source = smc",
+    "estimator.loglik_source",
+)
+_ORACLE = (
+    lambda c, b: b.oracle_score is not None, "a model with an oracle", "estimator.method"
+)
+
+
+class _Source(NamedTuple):
+    """A moment source: its estimate, the optional cells its rows fill, and
+    what it needs of the model."""
+
+    estimate: Callable  # (task, target) -> list of score / information arrays
+    columns: tuple  # of tau, h, delta, n_particles, fd_particles, oracle
+    needs: tuple
+
+
+_SOURCES = {
+    "is": _Source(_is_estimate, ("tau", "n_particles", "oracle"), (_GENERAL, _KERNEL)),
+    "quad": _Source(_quad_estimate, ("tau", "oracle"), (_GENERAL, _AT_MOST_2D, _KERNEL)),
+    # FD on SMC likelihoods reports the particles per stencil node
+    "fd": _Source(_fd_estimate, ("h", "fd_particles", "oracle"), (_LOGLIK,)),
+    "smc": _Source(
+        _smc_estimate, ("tau", "delta", "n_particles", "oracle"), (_SSM, _KERNEL)
+    ),
+    "oracle": _Source(_oracle_estimate, (), (_ORACLE,)),
+}
+
+METHODS = tuple(
+    f"{source}-{target}"
+    for source in _SOURCES
+    if source != "oracle"
+    for target in ("score", "oim")
+) + ("oracle",)
+
+
+def _grid_cells(columns: tuple, config: ExperimentConfig, point: _GridPoint) -> dict:
+    """The tau/h/delta/n_particles cells of a run's rows; unlisted ones are None."""
+    grid = {"tau": point.tau, "h": point.h, "delta": point.delta, "n_particles": point.n}
+    cells = {name: grid[name] if name in columns else None for name in grid}
+    if "fd_particles" in columns and config.loglik_source == "smc":
+        cells["n_particles"] = config.fd_particles or point.n
+    return cells
 
 
 def _run_one(config: ExperimentConfig, bundle, point, rep) -> list:
-    theta = np.asarray(config.theta, dtype=np.float64)
-    d = bundle.dim
-    kernel = make_gaussian_kernel(config.kernel_sigmas)
+    source, _, target = config.method.partition("-")
+    entry = _SOURCES[source]
     rng, seed_word = derive_substream(config.base_seed, point.index, rep)
-    run_id = f"{config.method}.g{point.index:03d}.r{rep:04d}"
-    method = config.method
+    theta = np.asarray(config.theta, dtype=np.float64)
+    kernel = make_gaussian_kernel(config.kernel_sigmas)
+    task = _Task(config, bundle, point, theta, kernel, rng, seed_word)
+    error = ""
+    t0 = time.perf_counter()
+    try:
+        arrays = entry.estimate(task, target)
+    except _RUN_FAILURES as exc:
+        error = type(exc).__name__
+        d = bundle.dim
+        arrays = [np.empty((d, d) if target == "oim" else d)]
+    wall = (time.perf_counter() - t0) * 1e3
 
-    def records(values, error=""):
-        rows = []
-        wall = values.pop("wall_time_ms", None) if isinstance(values, dict) else None
-        comps = values.get("comps", []) if isinstance(values, dict) else []
-        for comp_i, comp_j, est in comps:
-            if comp_j is None:
-                oracle = (
-                    float(bundle.oracle_score[comp_i])
-                    if bundle.oracle_score is not None
-                    else None
-                )
-            else:
-                oracle = (
-                    float(bundle.oracle_info[comp_i, comp_j])
-                    if bundle.oracle_info is not None
-                    else None
-                )
-            if method == "oracle":
-                oracle = None
-            abs_error = (
-                abs(est - oracle) if (est is not None and oracle is not None) else None
-            )
-            if method.startswith(("is-", "smc-")):
-                n_used = point.n
-            elif method.startswith("fd-") and config.loglik_source == "smc":
-                n_used = config.fd_particles or point.n
-            else:
-                n_used = None
+    cells = _grid_cells(entry.columns, config, point)
+    oracles = (None, None)
+    if "oracle" in entry.columns:
+        oracles = (bundle.oracle_score, bundle.oracle_info)
+    rows = []
+    for array in arrays:
+        reference = oracles[array.ndim - 1]
+        for index, value in np.ndenumerate(array):
+            estimate = None if error else float(value)
+            oracle = None if reference is None else float(reference[index])
+            abs_error = None
+            if estimate is not None and oracle is not None:
+                abs_error = abs(estimate - oracle)
             rows.append(
                 RunRecord(
-                    run_id=run_id,
+                    run_id=f"{config.method}.g{point.index:03d}.r{rep:04d}",
                     seed=seed_word,
-                    method=method,
-                    tau=point.tau if method.startswith(("is-", "smc-", "quad-")) else None,
-                    h=point.h if method.startswith("fd-") else None,
-                    delta=point.delta if method.startswith("smc-") else None,
-                    n_particles=n_used,
+                    method=config.method,
                     T=bundle.horizon,
-                    comp_i=comp_i + 1,
-                    comp_j=None if comp_j is None else comp_j + 1,
-                    estimate=est,
+                    comp_i=index[0] + 1,
+                    comp_j=index[1] + 1 if array.ndim == 2 else None,
+                    estimate=estimate,
                     oracle=oracle,
                     abs_error=abs_error,
                     wall_time_ms=wall,
                     error=error,
+                    **cells,
                 )
             )
-        return rows
-
-    def score_comps(values):
-        return [(i, None, float(values[i])) for i in range(d)]
-
-    def info_comps(values):
-        return [(i, j, float(values[i, j])) for i in range(d) for j in range(d)]
-
-    t0 = time.perf_counter()
-    try:
-        if method == "is-score":
-            moments = posterior_moments_is(
-                bundle.general, theta, point.tau, kernel, point.n, rng
-            )
-            est = score_from_moments(moments, theta, point.tau, kernel)
-            comps = score_comps(est.values)
-        elif method == "is-oim":
-            moments = posterior_moments_is(
-                bundle.general, theta, point.tau, kernel, point.n, rng
-            )
-            est = observed_info_from_moments(moments, point.tau, kernel)
-            comps = info_comps(est.values)
-        elif method in ("quad-score", "quad-oim"):
-            if bundle.general is None or bundle.dim > 2:
-                raise ConfigError(
-                    "quadrature methods need a general model with dim <= 2",
-                    key="estimator.method",
-                )
-            moments = posterior_moments_quadrature(
-                bundle.general, theta, point.tau, kernel
-            )
-            if method == "quad-score":
-                comps = score_comps(
-                    score_from_moments(moments, theta, point.tau, kernel).values
-                )
-            else:
-                comps = info_comps(
-                    observed_info_from_moments(moments, point.tau, kernel).values
-                )
-        elif method in ("fd-score", "fd-oim"):
-            if bundle.ssm is not None and config.loglik_source == "smc":
-                loglik = _smc_loglik_eval(bundle, config, point, seed_word)
-            elif bundle.loglik_point is not None:
-                loglik = bundle.loglik_point
-            else:
-                raise ConfigError(
-                    "model has no likelihood evaluator for finite differences",
-                    key="estimator.loglik_source",
-                )
-            fd_cfg = FDConfig(h=point.h, base_seed=seed_word)
-            if method == "fd-score":
-                comps = score_comps(fd_score(loglik, theta, fd_cfg).values)
-            else:
-                comps = info_comps(fd_info(loglik, theta, fd_cfg).values)
-        elif method in ("smc-score", "smc-oim"):
-            if bundle.ssm is None:
-                raise ConfigError(
-                    "smc methods need a state-space model", key="estimator.method"
-                )
-            filter_cfg = ExtendedFilterConfig(
-                theta=theta,
-                tau=point.tau,
-                kernel=kernel,
-                lag=point.delta,
-                n_particles=point.n,
-                resampling=config.resampling,
-                ess_threshold=config.ess_threshold,
-            )
-            acc = run_extended_bootstrap(bundle.ssm, bundle.ys, filter_cfg, rng=rng)
-            if method == "smc-score":
-                est = score_from_accumulator(acc, theta, point.tau, kernel)
-                comps = score_comps(est.values)
-            else:
-                est = observed_info_from_accumulator(acc, point.tau, kernel)
-                comps = info_comps(est.values)
-        elif method == "oracle":
-            if bundle.oracle_score is None:
-                raise ConfigError(
-                    "model has no oracle", key="estimator.method"
-                )
-            comps = score_comps(bundle.oracle_score) + info_comps(bundle.oracle_info)
-        else:  # pragma: no cover - guarded by config validation
-            raise ConfigError(f"unknown method {method!r}")
-    except (
-        ParticleCollapseError,
-        DegeneratePosteriorError,
-        ParameterDomainError,
-    ) as exc:
-        wall = (time.perf_counter() - t0) * 1e3
-        empty = [(i, None, None) for i in range(d)]
-        if method.endswith("oim"):
-            empty = [(i, j, None) for i in range(d) for j in range(d)]
-        return records(
-            {"comps": empty, "wall_time_ms": wall}, error=type(exc).__name__
-        )
-    wall = (time.perf_counter() - t0) * 1e3
-    return records({"comps": comps, "wall_time_ms": wall})
+    return rows
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> list:
-    """Run all grid points and replications; returns sorted RunRecords."""
+    """Run all grid points and replications; returns sorted RunRecords.
+
+    Raises ConfigError before any run when the model lacks what the method
+    needs or the dimensions disagree.
+    """
     bundle = build_model_bundle(config)
+    source = config.method.partition("-")[0]
+    for holds, what, key in _SOURCES[source].needs:
+        if not holds(config, bundle):
+            raise ConfigError(
+                f"method {config.method} needs {what.format(dim=bundle.dim)}", key=key
+            )
     grid = _build_grid(config)
     tasks = [(point, rep) for point in grid for rep in range(config.replications)]
     if threads > 1:
@@ -721,26 +721,12 @@ def write_records_csv(records, path, timings: bool = False) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RUN_RECORD_FIELDS)
+        wall = RUN_RECORD_FIELDS.index("wall_time_ms")
         for r in records:
-            writer.writerow(
-                [
-                    r.run_id,
-                    r.seed,
-                    r.method,
-                    _cell(r.tau),
-                    _cell(r.h),
-                    _cell(r.delta),
-                    _cell(r.n_particles),
-                    _cell(r.T),
-                    r.comp_i,
-                    _cell(r.comp_j),
-                    _cell(r.estimate),
-                    _cell(r.oracle),
-                    _cell(r.abs_error),
-                    _cell(r.wall_time_ms) if timings else "",
-                    r.error,
-                ]
-            )
+            row = [_cell(getattr(r, name)) for name in RUN_RECORD_FIELDS]
+            if not timings:
+                row[wall] = ""
+            writer.writerow(row)
 
 
 # ---------------------------------------------------------------------------
@@ -814,12 +800,6 @@ def fit_rate_slope(records, x_field: str, y_transform: str = "mse") -> SlopeFit:
 # ---------------------------------------------------------------------------
 
 
-def _fd_eval_count(target: str, d: int) -> int:
-    if target == "score":
-        return 2 * d
-    return 3 * d + 2 * d * (d - 1)
-
-
 def compare_fd(config: ExperimentConfig, threads: int = 1):
     """Run FD and the proposed estimator at matched likelihood budget.
 
@@ -832,19 +812,14 @@ def compare_fd(config: ExperimentConfig, threads: int = 1):
     table aggregates per-method bias, variance and MSE per component plus
     the FD/proposed variance ratio.
     """
-    d = len(config.theta)
     target = config.compare_target
-    n_nodes = _fd_eval_count(target, d)
+    d = len(config.theta)
+    n_nodes = 2 * d if target == "score" else 3 * d + 2 * d * (d - 1)  # FD stencil
     fd_n = max(2, config.compare_smc_n // n_nodes)
     is_ssm = config.model_kind in ("lgssm", "nonlinear-ar1")
     proposed = ("smc-" if is_ssm else "is-") + target
-    smc_method = proposed
-    fd_method = "fd-score" if target == "score" else "fd-oim"
-    smc_cfg = replace(
-        config,
-        method=smc_method,
-        ns=(config.compare_smc_n,),
-    )
+    fd_method = "fd-" + target
+    proposed_cfg = replace(config, method=proposed, ns=(config.compare_smc_n,))
     fd_cfg = replace(
         config,
         method=fd_method,
@@ -852,59 +827,46 @@ def compare_fd(config: ExperimentConfig, threads: int = 1):
         fd_particles=fd_n,
         ns=(config.compare_smc_n,),
     )
-    records = run_experiment(smc_cfg, threads=threads) + run_experiment(
+    records = run_experiment(proposed_cfg, threads=threads) + run_experiment(
         fd_cfg, threads=threads
     )
 
-    def stats(method):
-        per_comp: dict = {}
+    def summary(method):
+        """Table rows per component, variance_ratio still unset."""
+        groups: dict = {}
         for r in records:
-            if r.method != method or r.estimate is None:
-                continue
-            per_comp.setdefault((r.comp_i, r.comp_j), []).append((r.estimate, r.oracle))
+            if r.method == method and r.estimate is not None:
+                comp = (r.comp_i, r.comp_j)
+                groups.setdefault(comp, []).append((r.estimate, r.oracle))
         rows = {}
-        for comp, values in sorted(per_comp.items()):
+        for (comp_i, comp_j), values in sorted(groups.items()):
             est = np.array([v[0] for v in values])
             oracle = values[0][1]
             mean = float(est.mean())
-            var = float(est.var(ddof=1)) if est.size > 1 else 0.0
-            if oracle is None:
-                rows[comp] = (mean, None, None, var, None)
-            else:
-                rows[comp] = (
-                    mean,
-                    oracle,
-                    abs(mean - oracle),
-                    var,
-                    float(np.mean((est - oracle) ** 2)),
-                )
+            rows[comp_i, comp_j] = {
+                "method": method,
+                "comp_i": comp_i,
+                "comp_j": comp_j,
+                "mean_estimate": mean,
+                "oracle": oracle,
+                "abs_bias": None if oracle is None else abs(mean - oracle),
+                "variance": float(est.var(ddof=1)) if est.size > 1 else 0.0,
+                "mse": None if oracle is None else float(np.mean((est - oracle) ** 2)),
+            }
         return rows
 
-    smc_stats = stats(smc_method)
-    fd_stats = stats(fd_method)
-    table = []
-    for method, rows in ((fd_method, fd_stats), (smc_method, smc_stats)):
-        for comp, (mean, oracle, bias, var, mse) in rows.items():
-            smc_var = smc_stats.get(comp, (None, None, None, None, None))[3]
-            fd_var = fd_stats.get(comp, (None, None, None, None, None))[3]
-            ratio = (
-                fd_var / smc_var
-                if (fd_var is not None and smc_var not in (None, 0.0))
-                else None
-            )
-            table.append(
-                {
-                    "method": method,
-                    "comp_i": comp[0],
-                    "comp_j": comp[1],
-                    "mean_estimate": mean,
-                    "oracle": oracle,
-                    "abs_bias": bias,
-                    "variance": var,
-                    "mse": mse,
-                    "variance_ratio": ratio,
-                }
-            )
+    proposed_rows = summary(proposed)
+    fd_rows = summary(fd_method)
+    table = list(fd_rows.values()) + list(proposed_rows.values())
+    for row in table:
+        comp = (row["comp_i"], row["comp_j"])
+        proposed_var = proposed_rows.get(comp, {}).get("variance")
+        fd_var = fd_rows.get(comp, {}).get("variance")
+        row["variance_ratio"] = (
+            fd_var / proposed_var
+            if (fd_var is not None and proposed_var not in (None, 0.0))
+            else None
+        )
     return records, table
 
 

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-__all__ = ["ScoreEstimate", "InfoEstimate", "EstimateReport"]
+__all__ = ["ScoreEstimate", "InfoEstimate"]
 
 
 @dataclass(frozen=True)
@@ -44,11 +44,3 @@ class InfoEstimate:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
-
-@dataclass(frozen=True)
-class EstimateReport:
-    """Score and information estimates bundled with run diagnostics."""
-
-    score: Optional[ScoreEstimate] = None
-    info: Optional[InfoEstimate] = None
-    diagnostics: dict[str, Any] = field(default_factory=dict)

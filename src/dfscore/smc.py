@@ -50,7 +50,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .general import _as_covariance
+from .general import _rescale_info, _rescale_score
 from .perturbation import PerturbationKernel, make_gaussian_kernel
 from .results import InfoEstimate, ScoreEstimate
 from .state_space import StateSpaceModel
@@ -369,45 +369,32 @@ def _require_complete(acc: FixedLagAccumulator) -> None:
 
 
 def score_from_accumulator(
-    acc: FixedLagAccumulator, theta, tau: float, sigma
+    acc: FixedLagAccumulator, theta, tau: float, sigma: PerturbationKernel
 ) -> ScoreEstimate:
-    """Assemble the score: ``sigma^-1 (sum_t mean_t - T theta) / tau^2``."""
+    """Assemble the score: ``Sigma^-1 (sum_t mean_t - T theta) / tau^2``."""
     _require_complete(acc)
-    if tau <= 0.0:
-        raise ValueError("tau must be > 0")
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    cov = _as_covariance(sigma, theta.size)
     displacement = acc.means.sum(axis=0) - acc.horizon * theta
-    values = np.linalg.solve(cov, displacement) / tau**2
-    return ScoreEstimate(
-        values=values, tau=tau, n=acc.n_particles, method="smc-fixed-lag"
-    )
+    values = _rescale_score(displacement, tau, sigma)
+    return ScoreEstimate(values=values, tau=tau, n=acc.n_particles, method="smc-fixed-lag")
 
 
 def observed_info_from_accumulator(
-    acc: FixedLagAccumulator, tau: float, sigma
+    acc: FixedLagAccumulator, tau: float, sigma: PerturbationKernel
 ) -> InfoEstimate:
     """Assemble the observed information from variances and in-lag pairs.
 
-    ``-sigma^-1 {sum_t var_t + sum_t (A_t + A_t.T) - tau^2 T sigma} sigma^-1
-    / tau^4`` with ``A_t = pair_sums[t]``, symmetrized so the output equals
-    its transpose bit-for-bit.  The pair sum symmetrizes each cross-covariance
-    instead of doubling it, which is exact for the true posterior and keeps
-    the estimate symmetric.
+    The covariance of ``sum_t theta_t`` is ``sum_t var_t + sum_t (A_t +
+    A_t.T)`` with ``A_t = pair_sums[t]``; it goes through the same rescaling
+    as one parameter's covariance, with ``T tau^2 Sigma`` as the prior term.
+    The pair sum symmetrizes each cross-covariance instead of doubling it,
+    which is exact for the true posterior and keeps the estimate symmetric.
     """
     _require_complete(acc)
-    if tau <= 0.0:
-        raise ValueError("tau must be > 0")
-    d = acc.dim
-    cov = _as_covariance(sigma, d)
     pairs = acc.pair_sums.sum(axis=0)
-    inner = acc.covariances.sum(axis=0) + (pairs + pairs.T) - tau**2 * acc.horizon * cov
-    half = np.linalg.solve(cov, inner)
-    full = np.linalg.solve(cov, half.T).T / tau**4
-    sym = -(full + full.T) / 2.0
-    return InfoEstimate(
-        values=sym, tau=tau, n=acc.n_particles, method="smc-fixed-lag"
-    )
+    covariance = acc.covariances.sum(axis=0) + (pairs + pairs.T)
+    values = _rescale_info(covariance, acc.horizon, tau, sigma)
+    return InfoEstimate(values=values, tau=tau, n=acc.n_particles, method="smc-fixed-lag")
 
 
 def bootstrap_loglik(

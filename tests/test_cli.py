@@ -132,6 +132,36 @@ def test_stationary_init_out_of_domain_draws_are_tagged_rows(tmp_path):
     assert all(row.endswith(",ParameterDomainError") for row in rows)
 
 
+CONJUGATE_2D = IS_SWEEP.replace("dim = 1", "dim = 2").replace("tau = 0.2, 0.1", "tau = 0.1")
+IS_ON_LGSSM = SMC_POINT.replace("method = smc-score", "method = is-score")
+IS_ON_NONLINEAR = IS_ON_LGSSM.replace("kind = lgssm", "kind = nonlinear-ar1").replace(
+    "method = is-score", "method = is-oim"
+)
+# two parameters and the default single kernel sigma
+NO_SIGMAS_2D = CONJUGATE_2D.replace("theta = 1.0\nkernel_sigmas = 1.0", "theta = 1.0, 0.5")
+# one theta value for a two-parameter model
+ONE_THETA_2D = CONJUGATE_2D.replace("kernel_sigmas = 1.0", "kernel_sigmas = 1.0, 1.0")
+
+
+@pytest.mark.parametrize(
+    "name, text, key",
+    [
+        ("is-on-lgssm", IS_ON_LGSSM, "estimator.method"),
+        ("is-on-nonlinear", IS_ON_NONLINEAR, "estimator.method"),
+        ("no-sigmas-2d", NO_SIGMAS_2D, "estimator.kernel_sigmas"),
+        ("one-theta-2d", ONE_THETA_2D, "estimator.theta"),
+    ],
+)
+def test_model_method_and_dimension_mismatch_is_a_config_error(
+    tmp_path, capsys, name, text, key
+):
+    config = write(tmp_path, text, f"{name}.ini")
+    out = tmp_path / f"{name}.csv"
+    assert main(["estimate", "--config", config, "--out", str(out)]) == EXIT_CONFIG
+    assert f"(key: {key})" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_console_entry_point_runs(tmp_path):
     config = write(tmp_path, SMC_POINT, "smc.ini")
     out = tmp_path / "sub.csv"

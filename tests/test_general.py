@@ -134,6 +134,21 @@ def test_info_product_model_off_diagonals_vanish():
     assert np.array_equal(info.values, info.values.T)
 
 
+def test_rescalers_take_only_a_matching_perturbation_kernel():
+    mom = dfs.PosteriorMoments(mean=np.array([0.1, 0.2]), covariance=0.01 * np.eye(2))
+    theta = np.zeros(2)
+    for sigma in (np.array([1.0, 1.0]), np.eye(2), [1.0, 1.0]):
+        with pytest.raises(TypeError, match="PerturbationKernel"):
+            dfs.score_from_moments(mom, theta, 0.1, sigma)
+        with pytest.raises(TypeError, match="PerturbationKernel"):
+            dfs.observed_info_from_moments(mom, 0.1, sigma)
+    # a kernel of the wrong dimension would broadcast silently
+    with pytest.raises(ValueError, match="dimension"):
+        dfs.score_from_moments(mom, theta, 0.1, K1)
+    with pytest.raises(ValueError, match="dimension"):
+        dfs.observed_info_from_moments(mom, 0.1, K1)
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**31), d=st.integers(2, 4))
 def test_info_symmetric_bitwise_for_random_moments(seed, d):

@@ -128,6 +128,10 @@ def test_config_grid_validation():
         base_config(replications=0)
     with pytest.raises(ConfigError):
         base_config(hs=(0.0,))
+    for sigmas in ((0.0,), (-1.0,), (float("inf"),), (float("nan"),)):
+        with pytest.raises(ConfigError) as err:
+            base_config(kernel_sigmas=sigmas)
+        assert err.value.key == "estimator.kernel_sigmas"
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +307,72 @@ def test_smc_methods_through_harness():
     records2 = run_experiment(config2)
     assert len(records2) == 1
     assert all(r.oracle is None for r in records2)  # no oracle for the demo model
+
+
+LGSSM_2D = {
+    "free": "phi, log_sigma_v",
+    "log_sigma_w": "0.0",
+    "init": "fixed",
+    "init_sd": "1.0",
+    "theta_true": "0.6, 0.0",
+    "data_seed": "3",
+    "horizon": "6",
+}
+SCORE_LAYOUT = [(1, None), (2, None)]
+INFO_LAYOUT = [(1, 1), (1, 2), (2, 1), (2, 2)]
+ORACLE_LAYOUT = [(1, None), (1, 1), (1, 2), (2, None), (2, 1), (2, 2)]
+
+
+@pytest.mark.parametrize(
+    "method, loglik_source, filled, layout",
+    [
+        ("is-score", "exact", {"tau", "n_particles"}, SCORE_LAYOUT),
+        ("is-oim", "exact", {"tau", "n_particles"}, INFO_LAYOUT),
+        ("quad-score", "exact", {"tau"}, SCORE_LAYOUT),
+        ("quad-oim", "exact", {"tau"}, INFO_LAYOUT),
+        ("fd-score", "exact", {"h"}, SCORE_LAYOUT),
+        ("fd-oim", "exact", {"h"}, INFO_LAYOUT),
+        ("fd-score", "smc", {"h", "n_particles"}, SCORE_LAYOUT),
+        ("fd-oim", "smc", {"h", "n_particles"}, INFO_LAYOUT),
+        ("smc-score", "exact", {"tau", "delta", "n_particles"}, SCORE_LAYOUT),
+        ("smc-oim", "exact", {"tau", "delta", "n_particles"}, INFO_LAYOUT),
+        ("oracle", "exact", set(), ORACLE_LAYOUT),
+    ],
+)
+def test_every_method_row_layout_and_grid_cells(method, loglik_source, filled, layout):
+    on_ssm = method.startswith("smc-") or loglik_source == "smc"
+    config = base_config(
+        model_kind="lgssm" if on_ssm else "conjugate-gaussian",
+        model_params=LGSSM_2D if on_ssm else {"dim": "2", "y": "0.3"},
+        method=method,
+        theta=(0.5, -0.1),
+        kernel_sigmas=(1.0, 0.8),
+        loglik_source=loglik_source,
+        fd_particles=40 if loglik_source == "smc" else None,
+        taus=(0.1,),
+        ns=(64,),
+        deltas=(2,),
+        hs=(0.05,),
+        replications=2,
+    )
+    records = run_experiment(config)
+    assert len(records) == 2 * len(layout)
+    # FD on SMC likelihoods reports its particles per stencil node
+    fd_n = 40 if loglik_source == "smc" else 64
+    expected = {"tau": 0.1, "h": 0.05, "delta": 2, "n_particles": fd_n}
+    for rep in range(2):
+        rows = [r for r in records if r.run_id == f"{method}.g000.r{rep:04d}"]
+        assert [(r.comp_i, r.comp_j) for r in rows] == layout
+    for r in records:
+        assert r.error == "" and r.estimate is not None
+        assert r.T == (6 if on_ssm else None)
+        cells = {name: getattr(r, name) for name in expected}
+        assert {name for name, value in cells.items() if value is not None} == filled
+        assert all(cells[name] == expected[name] for name in filled)
+        if method == "oracle":
+            assert r.oracle is None and r.abs_error is None
+        else:
+            assert r.oracle is not None and r.abs_error == abs(r.estimate - r.oracle)
 
 
 # ---------------------------------------------------------------------------

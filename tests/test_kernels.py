@@ -1,4 +1,4 @@
-"""Backend-agreement and edge-case tests for the numeric kernels."""
+"""Reference and edge-case tests for the numeric kernels."""
 
 import numpy as np
 import pytest
@@ -10,13 +10,9 @@ def _rng():
     return np.random.default_rng(1234)
 
 
-def test_backend_reports_a_known_name():
-    assert kernels.backend() in ("numba", "numpy")
-
-
 def test_normalize_log_weights_matches_direct_computation():
     logw = _rng().normal(size=500) * 3.0 - 50.0
-    w, lse = kernels.normalize_log_weights_np(logw)
+    w, lse = kernels.normalize_log_weights(logw)
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
     direct = np.exp(logw) / np.exp(logw).sum()
     np.testing.assert_allclose(w, direct, rtol=1e-10)
@@ -34,7 +30,7 @@ def test_weighted_mean_cov_against_numpy_reference():
     x = rng.normal(size=(400, 3))
     w = rng.random(400)
     w /= w.sum()
-    mean, cov = kernels.weighted_mean_cov_np(x, w)
+    mean, cov = kernels.weighted_mean_cov(x, w)
     np.testing.assert_allclose(mean, w @ x, rtol=1e-12)
     dx = x - w @ x
     np.testing.assert_allclose(cov, (dx * w[:, None]).T @ dx, rtol=1e-10)
@@ -47,7 +43,7 @@ def test_weighted_crosscov_reference():
     xt = rng.normal(size=(300, 2))
     w = rng.random(300)
     w /= w.sum()
-    c = kernels.weighted_crosscov_np(xs, xt, w)
+    c = kernels.weighted_crosscov(xs, xt, w)
     dxs = xs - w @ xs
     dxt = xt - w @ xt
     np.testing.assert_allclose(c, (dxs * w[:, None]).T @ dxt, rtol=1e-10)
@@ -55,53 +51,16 @@ def test_weighted_crosscov_reference():
 
 def test_inverse_cdf_indices_basic_and_clipping():
     cumw = np.array([0.2, 0.5, 1.0])
-    idx = kernels.inverse_cdf_indices_np(cumw, np.array([0.1, 0.2, 0.3, 0.99, 1.0]))
+    idx = kernels.inverse_cdf_indices(cumw, np.array([0.1, 0.2, 0.3, 0.99, 1.0]))
     np.testing.assert_array_equal(idx, [0, 0, 1, 2, 2])
     # positions beyond a short cumulative sum clip to the last index
     short = np.array([0.3, 0.6, 0.999999])
-    idx = kernels.inverse_cdf_indices_np(short, np.array([0.9999999]))
+    idx = kernels.inverse_cdf_indices(short, np.array([0.9999999]))
     assert idx[0] == 2
 
 
 def test_kalman_loglik_core_single_step():
     # y ~ N(0, p0 + sw2): direct density arithmetic
-    ll = kernels.kalman_loglik_core_np(np.array([0.0]), 0.5, 1.0, 1.0, 0.0, 1.0)
+    ll = kernels.kalman_loglik_core(np.array([0.0]), 0.5, 1.0, 1.0, 0.0, 1.0)
     assert ll == pytest.approx(-0.5 * np.log(4.0 * np.pi), rel=1e-12)
 
-
-@pytest.mark.skipif(not kernels._HAVE_NUMBA, reason="numba unavailable")
-def test_numba_and_numpy_backends_agree():
-    rng = _rng()
-    logw = rng.normal(size=1000) - 30.0
-    w_np, lse_np = kernels.normalize_log_weights_np(logw)
-    w_nb, lse_nb = kernels.normalize_log_weights_nb(logw)
-    np.testing.assert_allclose(w_nb, w_np, rtol=1e-12)
-    assert lse_nb == pytest.approx(lse_np, rel=1e-12)
-
-    x = rng.normal(size=(500, 3))
-    w = w_np[:500] / w_np[:500].sum()
-    m_np, c_np = kernels.weighted_mean_cov_np(x, w)
-    m_nb, c_nb = kernels.weighted_mean_cov_nb(x, w)
-    np.testing.assert_allclose(m_nb, m_np, rtol=1e-10)
-    np.testing.assert_allclose(c_nb, c_np, rtol=1e-8, atol=1e-14)
-    assert np.array_equal(c_nb, c_nb.T)
-
-    xt = rng.normal(size=(500, 3))
-    np.testing.assert_allclose(
-        kernels.weighted_crosscov_nb(x, xt, w),
-        kernels.weighted_crosscov_np(x, xt, w),
-        rtol=1e-8,
-        atol=1e-14,
-    )
-
-    cumw = np.cumsum(w)
-    pos = rng.random(200)
-    np.testing.assert_array_equal(
-        kernels.inverse_cdf_indices_nb(cumw, pos),
-        kernels.inverse_cdf_indices_np(cumw, pos),
-    )
-
-    ys = rng.normal(size=100)
-    assert kernels.kalman_loglik_core_nb(
-        ys, 0.8, 1.0, 0.5, 0.0, 1.0
-    ) == pytest.approx(kernels.kalman_loglik_core_np(ys, 0.8, 1.0, 0.5, 0.0, 1.0), rel=1e-12)

@@ -657,6 +657,43 @@ def test_info_from_accumulator_bitwise_symmetric(seed):
     assert np.array_equal(info.values, info.values.T)
 
 
+def test_accumulator_estimates_are_horizon_times_general_rescalers():
+    # the SMC estimators rescale the moments of sum_t theta_t: T times the
+    # general rescalers applied to the time-averaged moments
+    spec = dfs.LinearGaussianSSM(
+        free=("phi", "log_sigma_v"), fixed={"log_sigma_w": 0.0}, init="fixed"
+    )
+    ssm = spec.state_space()
+    theta = np.array([0.6, -0.1])
+    _, ys = dfs.simulate(ssm, theta, 12, np.random.default_rng(5))
+    kern = dfs.make_gaussian_kernel([1.2, 0.8])
+    tau = 0.1
+    cfg = ExtendedFilterConfig(theta=theta, tau=tau, kernel=kern, lag=3, n_particles=400)
+    acc = dfs.run_extended_bootstrap(ssm, ys, cfg, rng=np.random.default_rng(6))
+    horizon = acc.horizon
+    assert horizon == 12 and np.any(acc.pair_sums != 0.0)
+    pairs = acc.pair_sums.sum(axis=0)
+    averaged = dfs.PosteriorMoments(
+        mean=acc.means.sum(axis=0) / horizon,
+        covariance=(acc.covariances.sum(axis=0) + pairs + pairs.T) / horizon,
+    )
+    for got, want in (
+        (
+            dfs.score_from_accumulator(acc, theta, tau, kern).values,
+            horizon * dfs.score_from_moments(averaged, theta, tau, kern).values,
+        ),
+        (
+            dfs.observed_info_from_accumulator(acc, tau, kern).values,
+            horizon * dfs.observed_info_from_moments(averaged, tau, kern).values,
+        ),
+    ):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    with pytest.raises(TypeError, match="PerturbationKernel"):
+        dfs.score_from_accumulator(acc, theta, tau, np.array([1.44, 0.64]))
+    with pytest.raises(TypeError, match="PerturbationKernel"):
+        dfs.observed_info_from_accumulator(acc, tau, np.diag([1.44, 0.64]))
+
+
 def test_incomplete_accumulator_rejected():
     acc = make_accumulator(np.random.default_rng(2))
     kern = dfs.make_gaussian_kernel([1.0, 1.0])
