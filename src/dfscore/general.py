@@ -329,6 +329,58 @@ def _checked_eval(loglik, theta, rng) -> float:
     return value
 
 
+def _fd_stencil(d: int, target: str) -> np.ndarray:
+    """Central-difference node offsets in units of ``h``, one row per node.
+
+    Rows are in stream order: node ``k`` of an FD estimate draws from stream
+    ``k``.  ``score`` has ``+e_r, -e_r`` for each coordinate ``r`` (``2d``
+    nodes).  ``oim`` has ``+e_r, 0, -e_r`` for each ``r``, then ``(+,+),
+    (+,-), (-,+), (-,-)`` in ``(e_r, e_s)`` for each pair ``r < s``
+    (``3d + 2d(d-1)`` nodes).
+    """
+    eye = np.eye(d)
+    if target == "score":
+        return np.stack([eye, -eye], axis=1).reshape(2 * d, d)
+    diagonal = np.stack([eye, np.zeros_like(eye), -eye], axis=1).reshape(3 * d, d)
+    r, s = np.triu_indices(d, 1)
+    pairs = np.arange(r.size)
+    cross = np.zeros((r.size, 4, d))
+    cross[pairs, :, r] = (1.0, 1.0, -1.0, -1.0)
+    cross[pairs, :, s] = (1.0, -1.0, 1.0, -1.0)
+    return np.vstack([diagonal, cross.reshape(-1, d)])
+
+
+def _fd_derivatives(values: np.ndarray, d: int, h: float, target: str):
+    """``(gradient, Hessian)`` from node values in ``_fd_stencil`` order.
+
+    The ``score`` stencil gives no Hessian (``None``); the ``oim`` stencil
+    reads the gradient off its ``+e_r, -e_r`` nodes.  Each entry keeps the
+    textbook subtraction form, ``(up - down) / 2h``,
+    ``(up - 2 mid + down) / h^2`` and ``(pp - pm - mp + mm) / 4h^2``, whose
+    round-off a weighted sum of the node values would not reproduce.
+    """
+    if target == "score":
+        up, down = values.reshape(d, 2).T
+        return (up - down) / (2.0 * h), None
+    up, mid, down = values[: 3 * d].reshape(d, 3).T
+    hess = np.diag((up - 2.0 * mid + down) / h**2)
+    pp, pm, mp, mm = values[3 * d :].reshape(-1, 4).T
+    r, s = np.triu_indices(d, 1)
+    hess[r, s] = hess[s, r] = (pp - pm - mp + mm) / (4.0 * h**2)
+    return (up - down) / (2.0 * h), hess
+
+
+def _fd_evaluate(loglik, theta, config: FDConfig, target: str):
+    """Evaluate the stencil at ``theta`` (node ``k`` on stream ``k``) and
+    difference it."""
+    theta = np.asarray(theta, dtype=np.float64)
+    nodes = theta + config.h * _fd_stencil(theta.size, target)
+    values = np.array(
+        [_checked_eval(loglik, node, _node_rng(config, k)) for k, node in enumerate(nodes)]
+    )
+    return _fd_derivatives(values, theta.size, config.h, target)
+
+
 def fd_score(
     loglik: Callable[[np.ndarray, np.random.Generator], float],
     theta,
@@ -339,18 +391,7 @@ def fd_score(
     ``loglik(theta, rng)`` may be a Monte Carlo estimator; the +h and -h
     evaluations of each coordinate use independent streams.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    d = theta.size
-    h = config.h
-    values = np.empty(d)
-    k = 0
-    for r in range(d):
-        e = np.zeros(d)
-        e[r] = h
-        up = _checked_eval(loglik, theta + e, _node_rng(config, k))
-        down = _checked_eval(loglik, theta - e, _node_rng(config, k + 1))
-        k += 2
-        values[r] = (up - down) / (2.0 * h)
+    values, _ = _fd_evaluate(loglik, theta, config, "score")
     return ScoreEstimate(values=values, tau=None, n=None, method="fd-central")
 
 
@@ -365,30 +406,5 @@ def fd_info(
     entries the standard four-point cross stencil.  All stencil node
     evaluations are independent.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    d = theta.size
-    h = config.h
-    hess = np.empty((d, d))
-    k = 0
-    for r in range(d):
-        e = np.zeros(d)
-        e[r] = h
-        up = _checked_eval(loglik, theta + e, _node_rng(config, k))
-        mid = _checked_eval(loglik, theta, _node_rng(config, k + 1))
-        down = _checked_eval(loglik, theta - e, _node_rng(config, k + 2))
-        k += 3
-        hess[r, r] = (up - 2.0 * mid + down) / h**2
-    for r in range(d):
-        for s in range(r + 1, d):
-            er = np.zeros(d)
-            es = np.zeros(d)
-            er[r] = h
-            es[s] = h
-            pp = _checked_eval(loglik, theta + er + es, _node_rng(config, k))
-            pm = _checked_eval(loglik, theta + er - es, _node_rng(config, k + 1))
-            mp = _checked_eval(loglik, theta - er + es, _node_rng(config, k + 2))
-            mm = _checked_eval(loglik, theta - er - es, _node_rng(config, k + 3))
-            k += 4
-            hess[r, s] = (pp - pm - mp + mm) / (4.0 * h**2)
-            hess[s, r] = hess[r, s]
+    _, hess = _fd_evaluate(loglik, theta, config, "oim")
     return InfoEstimate(values=-hess, tau=None, n=None, method="fd-central")

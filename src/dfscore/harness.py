@@ -33,6 +33,7 @@ from .general import (
     DegeneratePosteriorError,
     FDConfig,
     GeneralModel,
+    _fd_stencil,
     fd_info,
     fd_score,
     observed_info_from_moments,
@@ -54,6 +55,7 @@ from .state_space import (
     PARAM_NAMES,
     LinearGaussianSSM,
     ParameterDomainError,
+    ParameterNameError,
     kalman_loglik,
     kalman_score_info,
     load_observations,
@@ -422,21 +424,24 @@ def build_model_bundle(config: ExperimentConfig) -> _ModelBundle:
     init_mean = _model_float(params, "init_mean", 0.0)
     init_sd = _model_float(params, "init_sd", 1.0)
     spec = None
-    if config.model_kind == "lgssm":
-        free, fixed = _free_fixed(params, ",".join(PARAM_NAMES))
-        spec = LinearGaussianSSM(
-            free=free,
-            fixed=fixed,
-            init=params.get("init", "stationary"),
-            init_mean=init_mean,
-            init_sd=init_sd,
-        )
-        ssm = spec.state_space()
-    else:
-        free, fixed = _free_fixed(params, "phi")
-        ssm = make_nonlinear_shock_model(
-            free=free, fixed=fixed, init_mean=init_mean, init_sd=init_sd
-        )
+    try:
+        if config.model_kind == "lgssm":
+            free, fixed = _free_fixed(params, ",".join(PARAM_NAMES))
+            spec = LinearGaussianSSM(
+                free=free,
+                fixed=fixed,
+                init=params.get("init", "stationary"),
+                init_mean=init_mean,
+                init_sd=init_sd,
+            )
+            ssm = spec.state_space()
+        else:
+            free, fixed = _free_fixed(params, "phi")
+            ssm = make_nonlinear_shock_model(
+                free=free, fixed=fixed, init_mean=init_mean, init_sd=init_sd
+            )
+    except ParameterNameError as exc:
+        raise ConfigError(str(exc), key="model.free") from exc
     _check_theta(theta, ssm.param_dim)
     if params.get("data_csv", "").strip():
         ys = load_observations(params["data_csv"].strip())
@@ -535,7 +540,7 @@ def _quad_estimate(task: _Task, target: str) -> list:
 def _fd_estimate(task: _Task, target: str) -> list:
     config, bundle = task.config, task.bundle
     loglik = bundle.loglik_point
-    if config.loglik_source == "smc" and bundle.ssm is not None:
+    if config.loglik_source == "smc":
         n_fd = config.fd_particles or task.point.n
 
         def loglik(th, rng):
@@ -585,9 +590,8 @@ _KERNEL = (
 )
 _SSM = (lambda c, b: b.ssm is not None, "a state-space model", "estimator.method")
 _LOGLIK = (
-    lambda c, b: b.loglik_point is not None
-    or (b.ssm is not None and c.loglik_source == "smc"),
-    "an exact log-likelihood or loglik_source = smc",
+    lambda c, b: (b.ssm if c.loglik_source == "smc" else b.loglik_point) is not None,
+    "an exact log-likelihood, or loglik_source = smc on a state-space model",
     "estimator.loglik_source",
 )
 _ORACLE = (
@@ -813,8 +817,7 @@ def compare_fd(config: ExperimentConfig, threads: int = 1):
     the FD/proposed variance ratio.
     """
     target = config.compare_target
-    d = len(config.theta)
-    n_nodes = 2 * d if target == "score" else 3 * d + 2 * d * (d - 1)  # FD stencil
+    n_nodes = len(_fd_stencil(len(config.theta), target))
     fd_n = max(2, config.compare_smc_n // n_nodes)
     is_ssm = config.model_kind in ("lgssm", "nonlinear-ar1")
     proposed = ("smc-" if is_ssm else "is-") + target

@@ -96,7 +96,6 @@ class ExtendedFilterConfig:
     lag: int
     n_particles: int
     resampling: str = "multinomial"
-    seed: Optional[int] = None
     ess_threshold: Optional[float] = None
     pairwise: bool = False
 
@@ -229,7 +228,7 @@ def run_extended_bootstrap(
     model: StateSpaceModel,
     ys,
     config: ExtendedFilterConfig,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
     weight_observer=None,
 ) -> FixedLagAccumulator:
     """Run the extended bootstrap filter and accumulate fixed-lag moments.
@@ -249,8 +248,6 @@ def run_extended_bootstrap(
         raise ValueError("need at least one observation")
     if model.param_dim != config.kernel.dim:
         raise ValueError("model and kernel dimensions differ")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
 
     n = config.n_particles
     d = config.kernel.dim

@@ -18,6 +18,7 @@ from typing import Any, Callable, Mapping, Optional
 import numpy as np
 
 from . import kernels
+from .general import _fd_derivatives, _fd_stencil
 
 __all__ = [
     "StateSpaceModel",
@@ -107,6 +108,10 @@ def load_observations(path) -> np.ndarray:
         return np.array([float(row[1]) for row in reader])
 
 
+class ParameterNameError(ValueError):
+    """``free`` and ``fixed`` do not name each model parameter exactly once."""
+
+
 class _ParamMap:
     """Maps an unconstrained parameter vector onto (phi, sigma_v, sigma_w).
 
@@ -118,15 +123,15 @@ class _ParamMap:
         free = tuple(free)
         for name in free:
             if name not in PARAM_NAMES:
-                raise ValueError(f"unknown parameter name {name!r}")
+                raise ParameterNameError(f"unknown parameter name {name!r}")
         if len(set(free)) != len(free):
-            raise ValueError("duplicate names in free")
+            raise ParameterNameError("duplicate names in free")
         for name in fixed:
             if name not in PARAM_NAMES:
-                raise ValueError(f"unknown parameter name {name!r}")
+                raise ParameterNameError(f"unknown parameter name {name!r}")
         missing = [n for n in PARAM_NAMES if n not in free and n not in fixed]
         if missing:
-            raise ValueError(f"parameters neither free nor fixed: {missing}")
+            raise ParameterNameError(f"parameters neither free nor fixed: {missing}")
         self.free = free
         self.fixed = dict(fixed)
 
@@ -144,6 +149,22 @@ class _ParamMap:
                 value = np.float64(self.fixed[name])
             out.append(np.exp(value) if name.startswith("log_") else value)
         return tuple(out)
+
+
+def _gaussian_obs(pmap: _ParamMap):
+    """Fresh ``(obs_logdensity, obs_sampler)`` for ``y = x + sigma_w w``,
+    with w standard normal."""
+
+    def obs_logdensity(y, states, thetas):
+        _, _, sw = pmap.raw(thetas)
+        e = (y - states) / sw
+        return -0.5 * (np.log(2.0 * np.pi) + e * e) - np.log(sw)
+
+    def obs_sampler(states, thetas, rng):
+        _, _, sw = pmap.raw(thetas)
+        return states + sw * rng.standard_normal(states.shape[0])
+
+    return obs_logdensity, obs_sampler
 
 
 @dataclass(frozen=True)
@@ -213,15 +234,7 @@ class LinearGaussianSSM:
             phi, sv, _ = pmap.raw(thetas)
             return phi * states + sv * rng.standard_normal(states.shape[0])
 
-        def obs_logdensity(y, states, thetas):
-            _, _, sw = pmap.raw(thetas)
-            e = (y - states) / sw
-            return -0.5 * (np.log(2.0 * np.pi) + e * e) - np.log(sw)
-
-        def obs_sampler(states, thetas, rng):
-            _, _, sw = pmap.raw(thetas)
-            return states + sw * rng.standard_normal(states.shape[0])
-
+        obs_logdensity, obs_sampler = _gaussian_obs(pmap)
         return StateSpaceModel(
             param_dim=self.param_dim,
             init_sampler=init_sampler,
@@ -292,7 +305,9 @@ def richardson_score_info(
 ) -> KalmanDerivatives:
     """Gradient and negated Hessian of a smooth noise-free scalar function.
 
-    Central differences at steps ``h`` and ``h/2`` combined by Richardson
+    The ``oim`` finite-difference stencil of ``general.fd_info``, evaluated
+    at steps ``h`` and ``h/2`` (``2 (3d + 2d(d-1))`` calls of ``f``; the
+    gradient reads off its ``+e_r, -e_r`` nodes), combined by Richardson
     extrapolation (fourth-order); the discrepancy between the two step sizes
     yields a per-entry error estimate, and a warning is emitted when its
     maximum exceeds ``warn_tol``.  Exact on cubics, so quadratic surrogates
@@ -300,52 +315,18 @@ def richardson_score_info(
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     d = theta.size
+    stencil = _fd_stencil(d, "oim")
 
-    def richardson(diff):
-        coarse = diff(h)
-        fine = diff(h / 2.0)
-        return (4.0 * fine - coarse) / 3.0, abs(fine - coarse) / 3.0
+    def derivatives(step):
+        values = np.array([f(node) for node in theta + step * stencil])
+        return _fd_derivatives(values, d, step, "oim")
 
-    score = np.empty(d)
-    score_err = np.empty(d)
-    for r in range(d):
-        e = np.zeros(d)
-        e[r] = 1.0
-
-        def first(step, e=e):
-            return (f(theta + step * e) - f(theta - step * e)) / (2.0 * step)
-
-        score[r], score_err[r] = richardson(first)
-
-    f0 = f(theta)
-    hess = np.empty((d, d))
-    hess_err = np.empty((d, d))
-    for r in range(d):
-        e = np.zeros(d)
-        e[r] = 1.0
-
-        def second(step, e=e):
-            return (f(theta + step * e) - 2.0 * f0 + f(theta - step * e)) / step**2
-
-        hess[r, r], hess_err[r, r] = richardson(second)
-    for r in range(d):
-        for s in range(r + 1, d):
-            er = np.zeros(d)
-            es = np.zeros(d)
-            er[r] = 1.0
-            es[s] = 1.0
-
-            def cross(step, er=er, es=es):
-                return (
-                    f(theta + step * (er + es))
-                    - f(theta + step * (er - es))
-                    - f(theta - step * (er - es))
-                    + f(theta - step * (er + es))
-                ) / (4.0 * step**2)
-
-            hess[r, s], hess_err[r, s] = richardson(cross)
-            hess[s, r] = hess[r, s]
-            hess_err[s, r] = hess_err[r, s]
+    grad_coarse, hess_coarse = derivatives(h)
+    grad_fine, hess_fine = derivatives(h / 2.0)
+    score = (4.0 * grad_fine - grad_coarse) / 3.0
+    score_err = abs(grad_fine - grad_coarse) / 3.0
+    hess = (4.0 * hess_fine - hess_coarse) / 3.0
+    hess_err = abs(hess_fine - hess_coarse) / 3.0
 
     worst = max(score_err.max(), hess_err.max())
     if worst > warn_tol:
@@ -392,11 +373,12 @@ def make_nonlinear_shock_model(
     The transition noise is ``(z + z^3/3)`` rescaled to unit variance, for z
     standard normal.  Nothing in the package ever evaluates this transition
     density; the model exists to exercise the sample-only interface.
-    Observations are ``y = x + sigma_w w`` with w standard normal.
+    Observations are ``y = x + sigma_w w`` with w standard normal.  A scale
+    that is neither free nor in ``fixed`` is pinned at log-scale 0.0.
     """
-    if fixed is None:
-        fixed = {"log_sigma_v": 0.0, "log_sigma_w": 0.0}
-    pmap = _ParamMap(free, fixed)
+    free = tuple(free)
+    defaults = {name: 0.0 for name in ("log_sigma_v", "log_sigma_w") if name not in free}
+    pmap = _ParamMap(free, {**defaults, **(fixed or {})})
 
     def shock(rng, n):
         z = rng.standard_normal(n)
@@ -409,15 +391,7 @@ def make_nonlinear_shock_model(
         phi, sv, _ = pmap.raw(thetas)
         return phi * states + sv * shock(rng, states.shape[0])
 
-    def obs_logdensity(y, states, thetas):
-        _, _, sw = pmap.raw(thetas)
-        e = (y - states) / sw
-        return -0.5 * (np.log(2.0 * np.pi) + e * e) - np.log(sw)
-
-    def obs_sampler(states, thetas, rng):
-        _, _, sw = pmap.raw(thetas)
-        return states + sw * rng.standard_normal(states.shape[0])
-
+    obs_logdensity, obs_sampler = _gaussian_obs(pmap)
     return StateSpaceModel(
         param_dim=pmap.dim,
         init_sampler=init_sampler,

@@ -141,6 +141,14 @@ IS_ON_NONLINEAR = IS_ON_LGSSM.replace("kind = lgssm", "kind = nonlinear-ar1").re
 NO_SIGMAS_2D = CONJUGATE_2D.replace("theta = 1.0\nkernel_sigmas = 1.0", "theta = 1.0, 0.5")
 # one theta value for a two-parameter model
 ONE_THETA_2D = CONJUGATE_2D.replace("kernel_sigmas = 1.0", "kernel_sigmas = 1.0, 1.0")
+UNKNOWN_FREE_NAME = SMC_POINT.replace("free = phi", "free = phi, foo")
+# FD on a particle-filter likelihood needs a state-space model
+FD_SMC_ON_CONJUGATE = IS_SWEEP.replace("tau = 0.2, 0.1", "tau = 0.1").replace(
+    "method = is-score", "method = fd-score\nloglik_source = smc\nfd_particles = 50"
+)
+FD_SMC_ON_POISSON = FD_SMC_ON_CONJUGATE.replace(
+    "kind = conjugate-gaussian\ndim = 1", "kind = poisson\ny = 3"
+).replace("method = fd-score", "method = fd-oim")
 
 
 @pytest.mark.parametrize(
@@ -150,6 +158,9 @@ ONE_THETA_2D = CONJUGATE_2D.replace("kernel_sigmas = 1.0", "kernel_sigmas = 1.0,
         ("is-on-nonlinear", IS_ON_NONLINEAR, "estimator.method"),
         ("no-sigmas-2d", NO_SIGMAS_2D, "estimator.kernel_sigmas"),
         ("one-theta-2d", ONE_THETA_2D, "estimator.theta"),
+        ("unknown-free-name", UNKNOWN_FREE_NAME, "model.free"),
+        ("fd-smc-on-conjugate", FD_SMC_ON_CONJUGATE, "estimator.loglik_source"),
+        ("fd-smc-on-poisson", FD_SMC_ON_POISSON, "estimator.loglik_source"),
     ],
 )
 def test_model_method_and_dimension_mismatch_is_a_config_error(
@@ -160,6 +171,19 @@ def test_model_method_and_dimension_mismatch_is_a_config_error(
     assert main(["estimate", "--config", config, "--out", str(out)]) == EXIT_CONFIG
     assert f"(key: {key})" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_nonlinear_model_defaults_unset_scales_to_zero(tmp_path):
+    explicit = SMC_POINT.replace("kind = lgssm", "kind = nonlinear-ar1")
+    implicit = explicit.replace("log_sigma_v = 0.0\nlog_sigma_w = 0.0\n", "")
+    outs = []
+    for name, text in (("explicit", explicit), ("implicit", implicit)):
+        out = tmp_path / f"{name}.csv"
+        config = write(tmp_path, text, f"{name}.ini")
+        assert main(["estimate", "--config", config, "--out", str(out)]) == EXIT_OK
+        outs.append(out.read_text())
+    assert outs[0] == outs[1]
+    assert len(outs[0].splitlines()) == 1 + 2
 
 
 def test_console_entry_point_runs(tmp_path):

@@ -219,6 +219,74 @@ def test_fd_propagates_nonfinite_evaluations():
         dfs.fd_score(lambda t, r: float("nan"), THETA, FDConfig(h=0.1))
 
 
+def _node_rng(config, k):
+    return np.random.default_rng(np.random.SeedSequence((config.base_seed, k)))
+
+
+def loop_fd_score(loglik, theta, config):
+    """Per-coordinate reference: node pair (+e_r, -e_r) on streams 2r, 2r+1."""
+    d, h = theta.size, config.h
+    values = np.empty(d)
+    for r in range(d):
+        e = np.zeros(d)
+        e[r] = h
+        up = float(loglik(theta + e, _node_rng(config, 2 * r)))
+        down = float(loglik(theta - e, _node_rng(config, 2 * r + 1)))
+        values[r] = (up - down) / (2.0 * h)
+    return values
+
+
+def loop_fd_info(loglik, theta, config):
+    """Per-coordinate reference: the 3-point diagonal, then the 4-point cross
+    stencil for each pair r < s, streams numbered in that order."""
+    d, h = theta.size, config.h
+    hess = np.empty((d, d))
+    k = 0
+    for r in range(d):
+        e = np.zeros(d)
+        e[r] = h
+        up = float(loglik(theta + e, _node_rng(config, k)))
+        mid = float(loglik(theta, _node_rng(config, k + 1)))
+        down = float(loglik(theta - e, _node_rng(config, k + 2)))
+        k += 3
+        hess[r, r] = (up - 2.0 * mid + down) / h**2
+    for r in range(d):
+        for s in range(r + 1, d):
+            er = np.zeros(d)
+            es = np.zeros(d)
+            er[r] = h
+            es[s] = h
+            pp = float(loglik(theta + er + es, _node_rng(config, k)))
+            pm = float(loglik(theta + er - es, _node_rng(config, k + 1)))
+            mp = float(loglik(theta - er + es, _node_rng(config, k + 2)))
+            mm = float(loglik(theta - er - es, _node_rng(config, k + 3)))
+            k += 4
+            hess[r, s] = hess[s, r] = (pp - pm - mp + mm) / (4.0 * h**2)
+    return -hess
+
+
+def noisy_loglik(theta, rng):
+    weights = np.arange(1.0, theta.size + 1.0)
+    smooth = -0.5 * float(weights @ theta**2) + float(np.sin(theta).sum())
+    return smooth + 0.01 * rng.standard_normal()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    seed=st.integers(0, 2**31),
+    h=st.floats(1e-4, 0.5),
+    theta0=st.floats(-2.0, 2.0),
+)
+def test_fd_stencil_matches_per_coordinate_loops_bitwise(d, seed, h, theta0):
+    theta = theta0 + np.linspace(-0.3, 0.4, d)
+    cfg = FDConfig(h=h, base_seed=seed)
+    score = dfs.fd_score(noisy_loglik, theta, cfg).values
+    info = dfs.fd_info(noisy_loglik, theta, cfg).values
+    assert np.array_equal(score, loop_fd_score(noisy_loglik, theta, cfg))
+    assert np.array_equal(info, loop_fd_info(noisy_loglik, theta, cfg))
+
+
 # ---------------------------------------------------------------------------
 # quadrature oracle
 # ---------------------------------------------------------------------------

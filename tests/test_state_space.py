@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dfscore as dfs
 from dfscore.state_space import (
@@ -168,6 +170,86 @@ def test_richardson_exact_on_quadratic_surrogate():
         der.info, np.array([[3.4, -0.9], [-0.9, 4.2]]), atol=1e-9
     )
     assert der.score_err.max() < 1e-10
+
+
+def loop_richardson(f, theta, h):
+    """Per-coordinate reference: a score pass, one f(theta), then the
+    diagonal and cross second differences, each at h and h/2."""
+    d = theta.size
+
+    def richardson(diff):
+        coarse, fine = diff(h), diff(h / 2.0)
+        return (4.0 * fine - coarse) / 3.0, abs(fine - coarse) / 3.0
+
+    score, score_err = np.empty(d), np.empty(d)
+    hess, hess_err = np.empty((d, d)), np.empty((d, d))
+    f0 = f(theta)
+    for r in range(d):
+        e = np.zeros(d)
+        e[r] = 1.0
+        score[r], score_err[r] = richardson(
+            lambda step: (f(theta + step * e) - f(theta - step * e)) / (2.0 * step)
+        )
+        hess[r, r], hess_err[r, r] = richardson(
+            lambda step: (f(theta + step * e) - 2.0 * f0 + f(theta - step * e)) / step**2
+        )
+    for r in range(d):
+        for s in range(r + 1, d):
+            er, es = np.zeros(d), np.zeros(d)
+            er[r] = es[s] = 1.0
+            hess[r, s], hess_err[r, s] = richardson(
+                lambda step: (
+                    f(theta + step * (er + es))
+                    - f(theta + step * (er - es))
+                    - f(theta - step * (er - es))
+                    + f(theta - step * (er + es))
+                )
+                / (4.0 * step**2)
+            )
+            hess[s, r], hess_err[s, r] = hess[r, s], hess_err[r, s]
+    return score, -hess, score_err, hess_err
+
+
+def rough(th):
+    """Deterministic, with high-frequency wiggles that any change in the
+    rounding of the difference quotients would show."""
+    return float(-0.5 * th @ th + 1e-3 * np.sin(1e3 * th).sum() + th[0] * th[-1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 4), h=st.floats(1e-4, 0.2), theta0=st.floats(-1.0, 1.0))
+def test_richardson_matches_per_coordinate_loops_bitwise(d, h, theta0):
+    theta = theta0 + np.linspace(-0.3, 0.4, d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OracleAccuracyWarning)
+        der = richardson_score_info(rough, theta, h=h)
+    fields = (der.score, der.info, der.score_err, der.info_err)
+    for got, want in zip(fields, loop_richardson(rough, theta, h)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_kalman_oracle_calls_the_likelihood_once_per_stencil_node(monkeypatch, d):
+    free = dfs.state_space.PARAM_NAMES[:d]
+    spec = LinearGaussianSSM(
+        free=free, fixed={"log_sigma_v": 0.1, "log_sigma_w": -0.2}, init="fixed"
+    )
+    theta = np.array([0.6, -0.1, 0.2][:d])
+    _, ys = simulate_lgssm(theta, 200, 4, spec)
+    calls = []
+
+    def counted(model, th, y):
+        calls.append(th)
+        return kalman_loglik(model, th, y)
+
+    monkeypatch.setattr(dfs.state_space, "kalman_loglik", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OracleAccuracyWarning)
+        der = kalman_score_info(spec, theta, ys)
+    assert len(calls) == 2 * (3 * d + 2 * d * (d - 1))
+    want = loop_richardson(lambda th: kalman_loglik(spec, th, ys), theta, 0.002)
+    for got, ref in zip((der.score, der.info, der.score_err, der.info_err), want):
+        assert np.array_equal(got, ref)
 
 
 def test_oracle_warns_on_large_discrepancy():
