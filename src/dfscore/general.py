@@ -47,7 +47,10 @@ class GeneralModel:
     ``log_likelihood`` maps an ``(n, dim)`` batch of parameter vectors to an
     ``(n,)`` array of log-likelihood values.  It must be deterministic given
     identical inputs (noisy evaluators own their random stream) and return
-    finite values or ``-inf`` for impossible parameters.
+    finite values or ``-inf`` for impossible parameters.  The batch may be
+    the transposed view of a component-major ``(dim, n)`` buffer: index it
+    by column (``thetas[:, i]``), do not assume C order, and do not write
+    into it.
     """
 
     dim: int
@@ -151,17 +154,19 @@ def _grid_loglik(model: GeneralModel, a0: np.ndarray, a1: np.ndarray) -> np.ndar
     Returns the ``(a0.size, a1.size)`` matrix whose ``[i, j]`` entry is the
     log-likelihood at ``(a0[i], a1[j])``.  The grid goes to ``log_likelihood``
     in blocks of whole rows, about ``_QUAD_BLOCK_NODES`` nodes each, and every
-    block passes the same checks as a single call would.
+    block passes the same checks as a single call would.  A block's nodes
+    are filled component-major, as a ``(2, nodes)`` buffer, and passed as
+    its ``(nodes, 2)`` transpose.
     """
     m0, m1 = a0.size, a1.size
     rows = max(1, _QUAD_BLOCK_NODES // m1)
     out = np.empty((m0, m1))
     for start in range(0, m0, rows):
         block = a0[start : start + rows]
-        points = np.empty((block.size, m1, 2))
-        points[:, :, 0] = block[:, None]
-        points[:, :, 1] = a1
-        logl = _evaluate_loglik(model, points.reshape(-1, 2))
+        points = np.empty((2, block.size, m1))
+        points[0] = block[:, None]
+        points[1] = a1
+        logl = _evaluate_loglik(model, points.reshape(2, -1).T)
         out[start : start + block.size] = logl.reshape(block.size, m1)
     return out
 

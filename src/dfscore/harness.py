@@ -364,15 +364,23 @@ class _ModelBundle:
     oracle_info: Optional[np.ndarray] = None
 
 
-def _model_float(params, key, default):
-    return float(params[key]) if key in params else default
+def _model_number(params, key, default, kind=float):
+    """``[model] key`` parsed by ``kind``, or ``default`` when it is unset."""
+    if key not in params:
+        return default
+    try:
+        return kind(params[key])
+    except ValueError as exc:
+        raise ConfigError(
+            f"malformed value {params[key]!r}", key=f"model.{key}"
+        ) from exc
 
 
 def _free_fixed(params, default_free: str):
     """Free parameter names, and the values of the other named parameters."""
     free = tuple(name.strip() for name in params.get("free", default_free).split(","))
     fixed = {
-        name: float(params[name])
+        name: _model_number(params, name, None)
         for name in PARAM_NAMES
         if name not in free and name in params
     }
@@ -392,15 +400,15 @@ def build_model_bundle(config: ExperimentConfig) -> _ModelBundle:
     params = config.model_params
     if config.model_kind in ("conjugate-gaussian", "poisson"):
         if config.model_kind == "conjugate-gaussian":
-            dim = int(params.get("dim", len(theta)))
-            y = _model_float(params, "y", 0.0)
-            obs_sd = _model_float(params, "obs_sd", 1.0)
+            dim = _model_number(params, "dim", len(theta), int)
+            y = _model_number(params, "y", 0.0)
+            obs_sd = _model_number(params, "obs_sd", 1.0)
             model = gaussian_location_model(y=y, obs_sd=obs_sd, dim=dim)
             _check_theta(theta, dim)
             score = (np.full(dim, y) - theta) / obs_sd**2
             info = np.eye(dim) / obs_sd**2
         else:
-            y = int(float(params.get("y", "1")))
+            y = int(_model_number(params, "y", 1.0))
             model = poisson_loglink_model(y)
             _check_theta(theta, 1)
             with np.errstate(over="ignore"):
@@ -420,17 +428,26 @@ def build_model_bundle(config: ExperimentConfig) -> _ModelBundle:
         )
 
     # state-space kinds
-    horizon = int(params.get("horizon", "50"))
-    init_mean = _model_float(params, "init_mean", 0.0)
-    init_sd = _model_float(params, "init_sd", 1.0)
+    horizon = _model_number(params, "horizon", 50, int)
+    if horizon < 1:
+        raise ConfigError("horizon must be >= 1", key="model.horizon")
+    init_mean = _model_number(params, "init_mean", 0.0)
+    init_sd = _model_number(params, "init_sd", 1.0)
     spec = None
     try:
         if config.model_kind == "lgssm":
+            init = params.get("init", "stationary")
+            if init not in ("stationary", "fixed"):
+                raise ConfigError(
+                    f"init must be stationary or fixed, got {init!r}", key="model.init"
+                )
+            if init == "fixed" and not init_sd > 0.0:
+                raise ConfigError("init = fixed needs init_sd > 0", key="model.init_sd")
             free, fixed = _free_fixed(params, ",".join(PARAM_NAMES))
             spec = LinearGaussianSSM(
                 free=free,
                 fixed=fixed,
-                init=params.get("init", "stationary"),
+                init=init,
                 init_mean=init_mean,
                 init_sd=init_sd,
             )
@@ -452,7 +469,7 @@ def build_model_bundle(config: ExperimentConfig) -> _ModelBundle:
                 "theta_true must match the model's free-parameter count",
                 key="model.theta_true",
             )
-        data_rng = np.random.default_rng(int(params.get("data_seed", "0")))
+        data_rng = np.random.default_rng(_model_number(params, "data_seed", 0, int))
         _, ys = simulate(ssm, theta_true, horizon, data_rng)
     bundle = _ModelBundle(dim=ssm.param_dim, ssm=ssm, ys=ys, horizon=len(ys))
     if spec is not None:

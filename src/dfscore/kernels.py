@@ -4,6 +4,14 @@ Weight normalization, weighted moments and cross-covariances, inverse-CDF
 resampling indices, and the scalar Kalman recursion.  All kernels are pure
 array-in/array-out functions; input validation and random-number generation
 happen in the callers.
+
+The moment kernels take particles as ``(n, d)`` arrays but compute on the
+component-major ``(d, n)`` layout: each input is first brought to a
+C-contiguous ``(d, n)`` array with ``np.ascontiguousarray(x.T)``, which is
+free for the transposed views the samplers and the filter pass and a copy
+otherwise.  Their output bits therefore do not depend on the input's memory
+layout.  They never write into their inputs, which may be the caller's own
+buffers.
 """
 
 from __future__ import annotations
@@ -35,13 +43,17 @@ def normalize_log_weights(logw):
 def weighted_mean_cov(x, w):
     """Weighted mean and plug-in covariance of rows of ``x``.
 
-    ``x`` is ``(n, d)``, ``w`` a normalized weight vector.  The covariance
+    ``x`` is ``(n, d)``, ``w`` a normalized non-negative weight vector.
+    The centred particles are scaled by ``sqrt(w)`` in place, so the
+    covariance is one Gram product with no second ``(d, n)`` temporary.  It
     is mirrored from its upper triangle so the output is symmetric
     bit-for-bit.
     """
-    mean = w @ x
-    dx = x - mean
-    cov = (dx * w[:, None]).T @ dx
+    cols = np.ascontiguousarray(x.T)
+    mean = cols @ w
+    dx = cols - mean[:, None]
+    dx *= np.sqrt(w)
+    cov = dx @ dx.T
     d = cov.shape[0]
     for a in range(d):
         for b in range(a + 1, d):
@@ -51,9 +63,12 @@ def weighted_mean_cov(x, w):
 
 def weighted_crosscov(xs, xt, w):
     """Weighted plug-in cross-covariance between rows of ``xs`` and ``xt``."""
-    dxs = xs - w @ xs
-    dxt = xt - w @ xt
-    return (dxs * w[:, None]).T @ dxt
+    a = np.ascontiguousarray(xs.T)
+    b = np.ascontiguousarray(xt.T)
+    da = a - (a @ w)[:, None]
+    da *= w
+    db = b - (b @ w)[:, None]
+    return da @ db.T
 
 
 def inverse_cdf_indices(cumw, positions):

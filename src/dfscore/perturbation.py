@@ -63,6 +63,9 @@ class PerturbationKernel:
         check symmetry and scale identities exactly.
 
         Returns shape ``(dim,)`` when ``size`` is None, else ``(size, dim)``.
+        A batch is the transpose of a C-contiguous ``(dim, size)`` buffer,
+        so each coordinate's draws are contiguous; the values are those of
+        ``center + tau * (sigmas * z)`` bit for bit.
         """
         center = np.asarray(center, dtype=np.float64)
         if center.shape != (self.dim,):
@@ -81,7 +84,9 @@ class PerturbationKernel:
             expected = (self.dim,) if size is None else (size, self.dim)
             if z.shape != expected:
                 raise ValueError(f"z has shape {z.shape}, expected {expected}")
-        out = self.sigmas * z
+        # the (size, dim) transpose of a C-contiguous (dim, size) copy of z
+        out = z.T.copy().T
+        out *= self.sigmas
         out *= tau
         out += center
         return out

@@ -21,20 +21,25 @@ at the scale of the draws.
 The prefix sums live in a ring of ``slots = min(2*lag + 2, T + 1)`` slots
 (prefix ``k`` in slot ``k % slots``) split into two arrays:
 
-* ``values`` ``(slots, n, d)`` float64: slot ``k % slots`` holds ``P_k`` of
-  the particles alive at the step that wrote it, row per particle.  A slot
-  is written once and never moved.
-* ``lineage`` ``(n, slots)`` int32: ``lineage[i, k % slots]`` is the row,
-  within that slot, of current particle ``i``'s ancestor.
+* ``values``, one ``(d, n)`` float64 buffer per slot: slot ``k % slots``
+  holds ``P_k`` of the particles alive at the step that wrote it,
+  component-major (one contiguous row of ``n`` per coordinate).  A slot is
+  written once and never moved.  Separate slot buffers need no single
+  ``slots * d * n`` block, which a fragmented heap may not have free.
+* ``lineage`` ``(n, slots)`` int32: ``lineage[i, k % slots]`` is the
+  column, within that slot, of current particle ``i``'s ancestor.
 
-Looking a prefix up is ``np.take(values[k], lineage[:, k], axis=0)``, and
+Looking a prefix up is ``np.take(values[k], lineage[:, k], axis=1)``, and
 resampling gathers only the ``lineage`` rows, never the float values.  Every
 prefix and every difference is the same float a ring of per-particle paths
 would hold.  At lag 0 there is no window and the read-off uses the current
 draws directly, without a ring.
 
-Particles are otherwise stored struct-of-arrays: states ``(n,)`` and one
-weight vector.  Moment read-off happens after weighting and before
+Particles are otherwise stored struct-of-arrays: parameters component-major
+(the sampler's ``(n, d)`` draws are the transpose of a ``(d, n)`` buffer,
+and the centred draw is ``thetas.T - theta[:, None]``), states ``(n,)`` and
+one weight vector.  The moment kernels receive ``.T`` views of the
+``(d, n)`` arrays.  Moment read-off happens after weighting and before
 resampling, so it uses the posterior-at-u weights exactly.  RNG consumption
 does not depend on the lag, which makes runs with different lags but equal
 seeds traverse identical particle trajectories.
@@ -257,7 +262,8 @@ def run_extended_bootstrap(
     if lag:
         # a read-off at step u touches prefixes u - 2*lag .. u + 1
         slots = min(2 * lag + 2, horizon + 1)
-        values = np.zeros((slots, n, d))  # P_0 = 0 in slot 0
+        # P_0 = 0 in slot 0; every other slot is written before it is read
+        values = [np.zeros((d, n))] + [np.empty((d, n)) for _ in range(slots - 1)]
         rows = np.arange(n, dtype=np.int32)
         lineage = np.repeat(rows[:, None], slots, axis=1)
         spare = np.empty_like(lineage)
@@ -272,9 +278,9 @@ def run_extended_bootstrap(
     x = None
 
     def prefix(k):
-        """``P_k`` of the current particles, ``(n, d)``."""
+        """``P_k`` of the current particles, ``(d, n)``."""
         k %= slots
-        return np.take(values[k], lineage[:, k], axis=0)
+        return np.take(values[k], lineage[:, k], axis=1)
 
     def read_off(t, u, w):
         readoff_horizon[t] = u + 1
@@ -284,18 +290,18 @@ def run_extended_bootstrap(
             return
         p_t = prefix(t)
         draw = prefix(t + 1) - p_t
-        mean, covariances[t] = kernels.weighted_mean_cov(draw, w)
+        mean, covariances[t] = kernels.weighted_mean_cov(draw.T, w)
         means[t] = theta + mean
         first = max(0, t - lag)
         if t == first:
             pair_sums[t] = 0.0
         else:
             window = p_t - prefix(first)
-            pair_sums[t] = kernels.weighted_crosscov(window, draw, w)
+            pair_sums[t] = kernels.weighted_crosscov(window.T, draw.T, w)
         if crosscovs is not None:
             for s in range(first, t):
                 draw_s = prefix(s + 1) - prefix(s)
-                crosscovs[(s, t)] = kernels.weighted_crosscov(draw_s, draw, w)
+                crosscovs[(s, t)] = kernels.weighted_crosscov(draw_s.T, draw.T, w)
 
     for u in range(horizon):
         thetas = config.kernel.sample(theta, config.tau, rng, size=n)
@@ -322,7 +328,7 @@ def run_extended_bootstrap(
 
         if lag:
             new = (u + 1) % slots
-            np.add(prefix(u), thetas - theta, out=values[new])
+            np.add(prefix(u), thetas.T - theta[:, None], out=values[new])
             lineage[:, new] = rows
 
         t = u - lag

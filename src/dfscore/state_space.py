@@ -52,7 +52,10 @@ class StateSpaceModel:
     """Latent Markov chain observed through a pointwise density.
 
     All callables are vectorized over particles: ``thetas`` is ``(n, d)``,
-    states are arrays with leading dimension ``n``.
+    states are arrays with leading dimension ``n``.  ``thetas`` may be the
+    transposed view of a component-major ``(d, n)`` buffer, as the filter's
+    draws are: index it by column (``thetas[:, i]``), do not assume C order,
+    and do not write into it.
 
     ``init_sampler(thetas, rng)`` draws x_1, ``transition_sampler(states,
     thetas, rng)`` advances one step, ``obs_logdensity(y, states, thetas)``

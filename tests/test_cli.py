@@ -1,10 +1,12 @@
 """CLI subcommands: exit codes, validation, reproducible output."""
 
+import os
 import subprocess
 import sys
 
 import pytest
 
+import dfscore
 from dfscore.cli import EXIT_ALL_FAILED, EXIT_CONFIG, EXIT_OK, main
 
 IS_SWEEP = """
@@ -173,6 +175,25 @@ def test_model_method_and_dimension_mismatch_is_a_config_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("init = fixed", "init = bogus", "model.init"),
+        ("init_sd = 1.0", "init_sd = 0", "model.init_sd"),
+        ("horizon = 8", "horizon = ten", "model.horizon"),
+        ("horizon = 8", "horizon = 0", "model.horizon"),
+    ],
+    ids=["init-bogus", "fixed-init-sd-zero", "horizon-not-a-number", "horizon-zero"],
+)
+def test_bad_lgssm_model_value_is_a_config_error(tmp_path, capsys, old, new, key):
+    assert old in SMC_POINT
+    config = write(tmp_path, SMC_POINT.replace(old, new), "bad.ini")
+    out = tmp_path / "bad.csv"
+    assert main(["oracle", "--config", config, "--out", str(out)]) == EXIT_CONFIG
+    assert f"(key: {key})" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_nonlinear_model_defaults_unset_scales_to_zero(tmp_path):
     explicit = SMC_POINT.replace("kind = lgssm", "kind = nonlinear-ar1")
     implicit = explicit.replace("log_sigma_v = 0.0\nlog_sigma_w = 0.0\n", "")
@@ -189,10 +210,14 @@ def test_nonlinear_model_defaults_unset_scales_to_zero(tmp_path):
 def test_console_entry_point_runs(tmp_path):
     config = write(tmp_path, SMC_POINT, "smc.ini")
     out = tmp_path / "sub.csv"
+    # the child imports the same dfscore as this process, installed or not
+    package_root = os.path.dirname(os.path.dirname(dfscore.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "dfscore.cli", "estimate", "--config", config, "--out", str(out)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()

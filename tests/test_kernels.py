@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfscore import kernels
 
@@ -64,3 +66,58 @@ def test_kalman_loglik_core_single_step():
     ll = kernels.kalman_loglik_core(np.array([0.0]), 0.5, 1.0, 1.0, 0.0, 1.0)
     assert ll == pytest.approx(-0.5 * np.log(4.0 * np.pi), rel=1e-12)
 
+
+def _particles(seed, n, d):
+    """Two ``(d, n)`` component-major particle arrays and normalized weights.
+
+    Row ``d - 1 - i`` of the second is row ``i`` of the first, halved and
+    shifted, so no cross-covariance is zero by construction.
+    """
+    rng = np.random.default_rng(seed)
+    xt = rng.normal(size=(d, n)) * rng.uniform(0.1, 10.0, size=(d, 1))
+    xt += rng.uniform(-5.0, 5.0, size=(d, 1))
+    w = rng.random(n)
+    return xt, xt[::-1] * 0.5 + 1.0, w / w.sum()
+
+
+_PARTICLE_CASES = dict(
+    seed=st.integers(0, 2**32 - 1), n=st.integers(2, 300), d=st.integers(1, 4)
+)
+
+
+def _mean_cov_and_crosscov(x, y, w):
+    return (*kernels.weighted_mean_cov(x, w), kernels.weighted_crosscov(x, y, w))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_PARTICLE_CASES)
+def test_moment_kernels_ignore_input_layout_and_leave_inputs_intact(seed, n, d):
+    xt, yt, w = _particles(seed, n, d)
+    layouts = {
+        "c": (np.ascontiguousarray(xt.T), np.ascontiguousarray(yt.T)),
+        "fortran": (np.asfortranarray(xt.T), np.asfortranarray(yt.T)),
+        "transposed-view": (xt.T, yt.T),
+    }
+    outputs = {}
+    for name, (x, y) in layouts.items():
+        before = (x.copy(), y.copy(), xt.copy(), yt.copy(), w.copy())
+        outputs[name] = _mean_cov_and_crosscov(x, y, w)
+        for kept, now in zip(before, (x, y, xt, yt, w)):
+            assert np.array_equal(kept, now), name
+    for name in ("fortran", "transposed-view"):
+        for ref, out in zip(outputs["c"], outputs[name]):
+            assert np.array_equal(ref, out), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_PARTICLE_CASES)
+def test_moment_kernels_are_invariant_to_particle_order(seed, n, d):
+    xt, yt, w = _particles(seed, n, d)
+    perm = np.random.default_rng(seed + 1).permutation(n)
+    straight = _mean_cov_and_crosscov(xt.T, yt.T, w)
+    permuted = _mean_cov_and_crosscov(xt[:, perm].T, yt[:, perm].T, w[perm])
+    # the mean is measured against the particles, the covariances against
+    # themselves
+    scales = (np.abs(xt).max(), np.abs(straight[1]).max(), np.abs(straight[2]).max())
+    for a, b, scale in zip(straight, permuted, scales):
+        assert np.abs(a - b).max() <= 1e-12 * scale

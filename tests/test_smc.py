@@ -91,6 +91,31 @@ def test_ancestors_are_nondecreasing(scheme):
             assert np.all(w[idx] > 0.0)
 
 
+_WEIGHTS = st.lists(
+    st.one_of(st.just(0.0), st.floats(0.0, 1e3)), min_size=1, max_size=300
+).filter(any)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    weights=_WEIGHTS,
+    scheme=st.sampled_from(["multinomial", "systematic"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_resample_offspring_properties(weights, scheme, seed):
+    w = np.array(weights)
+    n = w.size
+    idx = resample(w, scheme, np.random.default_rng(seed))
+    assert idx.shape == (n,)
+    assert np.all(np.diff(idx) >= 0)
+    assert np.all(w[idx] > 0.0)
+    counts = np.bincount(idx, minlength=n)
+    assert counts.sum() == n
+    if scheme == "systematic":
+        # floor or ceil of n w_i, up to round-off in the cumulative weights
+        assert np.all(np.abs(counts - n * w / w.sum()) <= 1.0 + 1e-9)
+
+
 def test_multinomial_offspring_count_variance():
     # four heavy particles and 96 light ones; the heavy offspring counts
     # are Binomial(n, w_i), with variance n w_i (1 - w_i) between 4.75 and
@@ -573,6 +598,39 @@ def test_tau_zero_reduces_to_plain_bootstrap():
     np.testing.assert_allclose(acc.means, np.tile(theta, (10, 1)), rtol=1e-14)
     np.testing.assert_allclose(acc.covariances, 0.0, atol=1e-20)
     assert np.isfinite(acc.loglik_estimate)
+
+
+@pytest.mark.parametrize("route", ["filter", "is", "quadrature-2d"])
+def test_callables_receive_component_major_parameters(route):
+    # every batch of parameters is the (n, d) transpose of a C-ordered
+    # (d, n) buffer, not a row-major copy
+    seen = []
+
+    def record(thetas):
+        seen.append((thetas.shape[1], thetas.T.flags.c_contiguous))
+        return np.zeros(thetas.shape[0])
+
+    theta = np.array([0.3, -0.2])
+    kernel = dfs.make_gaussian_kernel([1.0, 0.5])
+    if route == "filter":
+        ssm = dfs.StateSpaceModel(
+            param_dim=2,
+            init_sampler=lambda thetas, rng: record(thetas),
+            transition_sampler=lambda x, thetas, rng: x + record(thetas),
+            obs_logdensity=lambda y, x, thetas: record(thetas),
+        )
+        cfg = ExtendedFilterConfig(
+            theta=theta, tau=0.1, kernel=kernel, lag=2, n_particles=50
+        )
+        dfs.run_extended_bootstrap(ssm, np.zeros(4), cfg, rng=np.random.default_rng(0))
+    elif route == "is":
+        model = dfs.GeneralModel(dim=2, log_likelihood=record)
+        dfs.posterior_moments_is(model, theta, 0.1, kernel, 50, np.random.default_rng(0))
+    else:
+        model = dfs.GeneralModel(dim=2, log_likelihood=record)
+        dfs.posterior_moments_quadrature(model, theta, 0.1, kernel)
+    assert seen
+    assert all(d == 2 and component_major for d, component_major in seen)
 
 
 def test_score_estimator_sd_shrinks_like_root_n():
