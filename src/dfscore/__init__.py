@@ -37,11 +37,9 @@ from .state_space import (
     OracleAccuracyWarning,
     ParameterDomainError,
     StateSpaceModel,
-    joint_gaussian_loglik,
     kalman_loglik,
     kalman_score_info,
     load_observations,
-    richardson_score_info,
     make_nonlinear_shock_model,
     save_observations,
     simulate,
@@ -69,11 +67,9 @@ __all__ = [
     "bootstrap_loglik",
     "fd_info",
     "fd_score",
-    "joint_gaussian_loglik",
     "kalman_loglik",
     "kalman_score_info",
     "load_observations",
-    "richardson_score_info",
     "make_gaussian_kernel",
     "make_nonlinear_shock_model",
     "observed_info_from_accumulator",

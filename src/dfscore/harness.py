@@ -433,16 +433,16 @@ def build_model_bundle(config: ExperimentConfig) -> _ModelBundle:
         raise ConfigError("horizon must be >= 1", key="model.horizon")
     init_mean = _model_number(params, "init_mean", 0.0)
     init_sd = _model_number(params, "init_sd", 1.0)
+    # nonlinear-ar1 has only the fixed initial law N(init_mean, init_sd^2)
+    inits = ("stationary", "fixed") if config.model_kind == "lgssm" else ("fixed",)
+    init = params.get("init", inits[0])
+    if init not in inits:
+        raise ConfigError(f"init must be in {inits}, got {init!r}", key="model.init")
+    if init == "fixed" and not init_sd > 0.0:
+        raise ConfigError("init = fixed needs init_sd > 0", key="model.init_sd")
     spec = None
     try:
         if config.model_kind == "lgssm":
-            init = params.get("init", "stationary")
-            if init not in ("stationary", "fixed"):
-                raise ConfigError(
-                    f"init must be stationary or fixed, got {init!r}", key="model.init"
-                )
-            if init == "fixed" and not init_sd > 0.0:
-                raise ConfigError("init = fixed needs init_sd > 0", key="model.init_sd")
             free, fixed = _free_fixed(params, ",".join(PARAM_NAMES))
             spec = LinearGaussianSSM(
                 free=free,
@@ -473,9 +473,7 @@ def build_model_bundle(config: ExperimentConfig) -> _ModelBundle:
         _, ys = simulate(ssm, theta_true, horizon, data_rng)
     bundle = _ModelBundle(dim=ssm.param_dim, ssm=ssm, ys=ys, horizon=len(ys))
     if spec is not None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            der = kalman_score_info(spec, theta, ys)
+        der = kalman_score_info(spec, theta, ys)
         bundle.oracle_score = der.score
         bundle.oracle_info = der.info
         bundle.loglik_point = lambda th, rng: kalman_loglik(spec, th, ys)

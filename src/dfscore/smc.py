@@ -256,7 +256,8 @@ def run_extended_bootstrap(
 
     n = config.n_particles
     d = config.kernel.dim
-    lag = config.lag
+    # every lag >= T - 1 is the full lag, so T = 1 always takes the lag-0 path
+    lag = min(config.lag, horizon - 1)
     theta = config.theta
 
     if lag:
@@ -360,7 +361,7 @@ def run_extended_bootstrap(
         readoff_horizon=readoff_horizon,
         ess_trace=ess_trace,
         tau=config.tau,
-        lag=lag,
+        lag=config.lag,
         n_particles=n,
         crosscovs=crosscovs,
     )

@@ -3,22 +3,21 @@
 The model abstraction deliberately has no transition density: dynamics are
 things you can simulate, nothing more.  Observation densities are pointwise
 evaluable (the particle filter needs them for weighting).  The scalar
-AR(1)-plus-noise model is the reference case: its likelihood, score and
-observed information are computable exactly through the Kalman recursion,
-which is what the acceptance checks compare against.
+AR(1)-plus-noise model is the reference case: the Kalman recursion gives its
+exact likelihood, and the same recursion carried forward with first and
+second derivatives gives its exact score and observed information, which is
+what the acceptance checks compare against.
 """
 
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
 
 from . import kernels
-from .general import _fd_derivatives, _fd_stencil
 
 __all__ = [
     "StateSpaceModel",
@@ -28,10 +27,8 @@ __all__ = [
     "LinearGaussianSSM",
     "ParameterDomainError",
     "kalman_loglik",
-    "joint_gaussian_loglik",
     "KalmanDerivatives",
     "OracleAccuracyWarning",
-    "richardson_score_info",
     "kalman_score_info",
     "make_nonlinear_shock_model",
 ]
@@ -255,111 +252,37 @@ def kalman_loglik(model: LinearGaussianSSM, theta, ys) -> float:
     return float(kernels.kalman_loglik_core(ys, phi, sv**2, sw**2, m0, p0))
 
 
-def joint_gaussian_loglik(model: LinearGaussianSSM, theta, ys) -> float:
-    """Brute-force log-likelihood from the explicit joint Gaussian of y_{1:T}.
-
-    O(T^3); intended as an independent cross-check for short series.
-    """
-    phi, sv, sw = model.params(theta)
-    m0, p0 = model.init_moments(phi, sv)
-    ys = np.asarray(ys, dtype=np.float64)
-    big_t = ys.shape[0]
-    var_x = np.empty(big_t)
-    mean_x = np.empty(big_t)
-    var_x[0] = p0
-    mean_x[0] = m0
-    for t in range(1, big_t):
-        var_x[t] = phi**2 * var_x[t - 1] + sv**2
-        mean_x[t] = phi * mean_x[t - 1]
-    cov = np.empty((big_t, big_t))
-    for s in range(big_t):
-        for t in range(s, big_t):
-            cov[s, t] = phi ** (t - s) * var_x[s]
-            cov[t, s] = cov[s, t]
-    cov_y = cov + sw**2 * np.eye(big_t)
-    resid = ys - mean_x
-    chol = np.linalg.cholesky(cov_y)
-    alpha = np.linalg.solve(chol, resid)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    return float(
-        -0.5 * (big_t * np.log(2.0 * np.pi) + logdet + alpha @ alpha)
-    )
-
-
 class OracleAccuracyWarning(UserWarning):
-    """Richardson extrapolation discrepancy exceeded the requested tolerance."""
+    """No longer raised: the Kalman oracle is exact.  Kept as a name only."""
 
 
 @dataclass(frozen=True)
 class KalmanDerivatives:
-    """Oracle score/information with internal extrapolation error estimates."""
+    """Exact score and observed information of the Kalman log-likelihood."""
 
     score: np.ndarray
     info: np.ndarray
-    score_err: np.ndarray
-    info_err: np.ndarray
 
 
-def richardson_score_info(
-    f: Callable[[np.ndarray], float],
-    theta,
-    h: float = 0.002,
-    warn_tol: float = 1e-4,
-) -> KalmanDerivatives:
-    """Gradient and negated Hessian of a smooth noise-free scalar function.
-
-    The ``oim`` finite-difference stencil of ``general.fd_info``, evaluated
-    at steps ``h`` and ``h/2`` (``2 (3d + 2d(d-1))`` calls of ``f``; the
-    gradient reads off its ``+e_r, -e_r`` nodes), combined by Richardson
-    extrapolation (fourth-order); the discrepancy between the two step sizes
-    yields a per-entry error estimate, and a warning is emitted when its
-    maximum exceeds ``warn_tol``.  Exact on cubics, so quadratic surrogates
-    recover their derivatives to machine precision.
-    """
-    theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    d = theta.size
-    stencil = _fd_stencil(d, "oim")
-
-    def derivatives(step):
-        values = np.array([f(node) for node in theta + step * stencil])
-        return _fd_derivatives(values, d, step, "oim")
-
-    grad_coarse, hess_coarse = derivatives(h)
-    grad_fine, hess_fine = derivatives(h / 2.0)
-    score = (4.0 * grad_fine - grad_coarse) / 3.0
-    score_err = abs(grad_fine - grad_coarse) / 3.0
-    hess = (4.0 * hess_fine - hess_coarse) / 3.0
-    hess_err = abs(hess_fine - hess_coarse) / 3.0
-
-    worst = max(score_err.max(), hess_err.max())
-    if worst > warn_tol:
-        warnings.warn(
-            f"oracle extrapolation discrepancy {worst:.3e} exceeds {warn_tol:.1e}",
-            OracleAccuracyWarning,
-            stacklevel=2,
-        )
-    return KalmanDerivatives(
-        score=score, info=-hess, score_err=score_err, info_err=hess_err
-    )
-
-
-def kalman_score_info(
-    model: LinearGaussianSSM,
-    theta,
-    ys,
-    h: float = 0.002,
-    warn_tol: float = 1e-4,
-) -> KalmanDerivatives:
+def kalman_score_info(model: LinearGaussianSSM, theta, ys) -> KalmanDerivatives:
     """Score and observed information of the exact Kalman log-likelihood.
 
-    The differentiated function is noise-free, so Richardson-extrapolated
-    finite differences reach accuracy far beyond any Monte Carlo estimate
-    under test; the returned error estimates quantify it per entry.
+    Chains ``kernels.kalman_loglik_jet`` over u = (phi, sv2, sw2) to theta,
+    with du/dtheta = (1, 2 sv2, 2 sw2) and d2u/dtheta2 = (0, 4 sv2, 4 sw2),
+    and keeps the free coordinates.
     """
-    ys = np.asarray(ys, dtype=np.float64)
-    return richardson_score_info(
-        lambda th: kalman_loglik(model, th, ys), theta, h=h, warn_tol=warn_tol
-    )
+    phi, sv, sw = model.params(theta)
+    sv2, sw2 = sv**2, sw**2
+    m0, p0 = model.init_moments(phi, sv)
+    if model.init == "stationary":
+        p0 = None  # sv2 / (1 - phi^2), differentiated along with phi and sv2
+    ys = np.ascontiguousarray(ys, dtype=np.float64)
+    _, grad, hess = kernels.kalman_loglik_jet(ys, phi, sv2, sw2, m0, p0)
+    jac = np.array([1.0, 2.0 * sv2, 2.0 * sw2])
+    curv = np.array([0.0, 4.0 * sv2, 4.0 * sw2])
+    hess = np.outer(jac, jac) * hess + np.diag(curv * grad)
+    idx = [PARAM_NAMES.index(name) for name in model.free]
+    return KalmanDerivatives(score=(jac * grad)[idx], info=-hess[np.ix_(idx, idx)])
 
 
 _CUBIC_SHOCK_SCALE = np.sqrt(14.0 / 3.0)  # Var(z + z^3/3) for z ~ N(0,1)

@@ -93,12 +93,12 @@ def test_sweep_requires_multiple_points(tmp_path):
 
 def test_seed_flag_changes_output(tmp_path):
     config = write(tmp_path, SMC_POINT, "smc.ini")
-    a, b, c = (str(tmp_path / name) for name in ("a.csv", "b.csv", "c.csv"))
-    main(["estimate", "--config", config, "--out", a])
-    main(["estimate", "--config", config, "--out", b, "--seed", "999"])
-    main(["estimate", "--config", config, "--out", c, "--seed", "999"])
-    assert open(a).read() != open(b).read()
-    assert open(b).read() == open(c).read()
+    a, b, c = (tmp_path / name for name in ("a.csv", "b.csv", "c.csv"))
+    main(["estimate", "--config", config, "--out", str(a)])
+    main(["estimate", "--config", config, "--out", str(b), "--seed", "999"])
+    main(["estimate", "--config", config, "--out", str(c), "--seed", "999"])
+    assert a.read_text() != b.read_text()
+    assert b.read_text() == c.read_text()
 
 
 def test_missing_config_file(tmp_path):
@@ -194,8 +194,30 @@ def test_bad_lgssm_model_value_is_a_config_error(tmp_path, capsys, old, new, key
     assert not out.exists()
 
 
+NONLINEAR_POINT = SMC_POINT.replace("kind = lgssm", "kind = nonlinear-ar1")
+
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("init = fixed", "init = stationary", "model.init"),
+        ("init = fixed", "init = bogus", "model.init"),
+        ("init_sd = 1.0", "init_sd = -3", "model.init_sd"),
+    ],
+    ids=["init-stationary", "init-bogus", "init-sd-negative"],
+)
+def test_bad_nonlinear_model_value_is_a_config_error(tmp_path, capsys, old, new, key):
+    # this model has only the fixed initial law N(init_mean, init_sd^2)
+    assert old in NONLINEAR_POINT
+    config = write(tmp_path, NONLINEAR_POINT.replace(old, new), "bad.ini")
+    out = tmp_path / "bad.csv"
+    assert main(["estimate", "--config", config, "--out", str(out)]) == EXIT_CONFIG
+    assert f"(key: {key})" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_nonlinear_model_defaults_unset_scales_to_zero(tmp_path):
-    explicit = SMC_POINT.replace("kind = lgssm", "kind = nonlinear-ar1")
+    explicit = NONLINEAR_POINT
     implicit = explicit.replace("log_sigma_v = 0.0\nlog_sigma_w = 0.0\n", "")
     outs = []
     for name, text in (("explicit", explicit), ("implicit", implicit)):

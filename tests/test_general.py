@@ -172,6 +172,36 @@ def test_score_equivariance_power_of_two_rescaling():
         assert np.array_equal(s1.values, s2.values)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 3),
+    data=st.data(),
+    a=st.floats(0.1, 10.0),
+    tau=st.floats(0.1, 0.5),
+)
+def test_is_score_equivariant_under_coordinate_rescaling(seed, d, data, a, tau):
+    # theta_i -> a theta_i with sigma_i -> a sigma_i: same normals, same
+    # weights up to rounding, so score component i scales by 1/a.  The
+    # draws' rounding reaches the score as |theta| eps / (tau sigma)^2, so
+    # tau and n keep the estimate well away from zero for a relative bound.
+    i = data.draw(st.integers(0, d - 1))
+    theta = np.random.default_rng(seed).uniform(1.0, 2.0, size=d)
+    scale = np.ones(d)
+    scale[i] = a
+    model = gaussian_location_model(dim=d)
+    scaled = GeneralModel(dim=d, log_likelihood=lambda t: model.log_likelihood(t / scale))
+    kern = dfs.make_gaussian_kernel(np.linspace(0.8, 1.2, d))
+    kern_a = dfs.make_gaussian_kernel(kern.sigmas * scale)
+    m1 = dfs.posterior_moments_is(model, theta, tau, kern, 20000, np.random.default_rng(seed))
+    m2 = dfs.posterior_moments_is(
+        scaled, theta * scale, tau, kern_a, 20000, np.random.default_rng(seed)
+    )
+    s1 = dfs.score_from_moments(m1, theta, tau, kern).values
+    s2 = dfs.score_from_moments(m2, theta * scale, tau, kern_a).values
+    assert abs(s2[i] * a - s1[i]) <= 1e-12 * abs(s1[i])
+
+
 # ---------------------------------------------------------------------------
 # finite differences
 # ---------------------------------------------------------------------------

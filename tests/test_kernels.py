@@ -61,10 +61,41 @@ def test_inverse_cdf_indices_basic_and_clipping():
     assert idx[0] == 2
 
 
+def test_inverse_cdf_indices_never_picks_trailing_zero_weight():
+    cumw = np.cumsum([0.1] * 10 + [0.0])
+    assert cumw[-1] < 1.0
+    positions = np.array([np.nextafter(cumw[-2], 1.0), 1.0])
+    np.testing.assert_array_equal(kernels.inverse_cdf_indices(cumw, positions), [9, 9])
+
+
 def test_kalman_loglik_core_single_step():
     # y ~ N(0, p0 + sw2): direct density arithmetic
     ll = kernels.kalman_loglik_core(np.array([0.0]), 0.5, 1.0, 1.0, 0.0, 1.0)
     assert ll == pytest.approx(-0.5 * np.log(4.0 * np.pi), rel=1e-12)
+
+
+def test_kalman_loglik_jet_single_step_closed_form():
+    # y ~ N(m0, s) with s = p0 + sw2: only sw2 moves the likelihood
+    y, p0, sw2 = 0.7, 1.5, 0.4
+    s = p0 + sw2
+    ll, grad, hess = kernels.kalman_loglik_jet(np.array([y]), 0.5, 1.0, sw2, 0.0, p0)
+    assert ll == pytest.approx(-0.5 * (np.log(2.0 * np.pi * s) + y * y / s), rel=1e-14)
+    np.testing.assert_allclose(grad, [0.0, 0.0, -0.5 * (1.0 / s - y * y / s**2)], rtol=1e-14)
+    want = np.zeros((3, 3))
+    want[2, 2] = -0.5 * (2.0 * y * y / s**3 - 1.0 / s**2)
+    np.testing.assert_allclose(hess, want, rtol=1e-14)
+
+
+@pytest.mark.parametrize("p0", [1.3, None])
+def test_kalman_loglik_jet_value_matches_core(p0):
+    ys = np.random.default_rng(5).normal(size=40)
+    phi, sv2, sw2 = 0.6, 0.8, 1.1
+    core_p0 = sv2 / (1.0 - phi * phi) if p0 is None else p0
+    ll, _, hess = kernels.kalman_loglik_jet(ys, phi, sv2, sw2, 0.2, p0)
+    assert ll == pytest.approx(
+        kernels.kalman_loglik_core(ys, phi, sv2, sw2, 0.2, core_p0), rel=1e-13
+    )
+    assert np.array_equal(hess, hess.T)
 
 
 def _particles(seed, n, d):

@@ -306,6 +306,31 @@ def test_full_lag_values_are_identical_for_any_big_lag():
     assert acc_a.loglik_estimate == acc_b.loglik_estimate
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    horizon=st.integers(1, 12),
+    extra=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lags_past_the_horizon_match_the_full_lag_bitwise(horizon, extra, seed):
+    ssm, ys = lgssm2_setup(horizon)
+    theta = np.array([0.6, -0.1])
+    kern = dfs.make_gaussian_kernel([1.0, 0.8])
+    results = []
+    for lag in (horizon - 1, horizon - 1 + extra):
+        cfg = ExtendedFilterConfig(theta=theta, tau=0.1, kernel=kern, lag=lag, n_particles=100)
+        acc = dfs.run_extended_bootstrap(ssm, ys, cfg, rng=np.random.default_rng(seed))
+        s = dfs.score_from_accumulator(acc, theta, 0.1, kern)
+        i = dfs.observed_info_from_accumulator(acc, 0.1, kern)
+        results.append((acc, s.values, i.values))
+    (acc_a, s_a, i_a), (acc_b, s_b, i_b) = results
+    for field in ("means", "covariances", "pair_sums", "readoff_horizon", "ess_trace"):
+        assert np.array_equal(getattr(acc_a, field), getattr(acc_b, field)), field
+    assert acc_a.loglik_estimate == acc_b.loglik_estimate
+    assert np.array_equal(s_a, s_b)
+    assert np.array_equal(i_a, i_b)
+
+
 @pytest.mark.parametrize(
     "horizon,lag", [(1, 0), (5, 0), (5, 2), (5, 4), (5, 7), (8, 3), (3, 10)]
 )

@@ -1,6 +1,6 @@
 """State-space simulation, Kalman oracles, and the sample-only demo model."""
 
-import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -10,13 +10,10 @@ from hypothesis import strategies as st
 import dfscore as dfs
 from dfscore.state_space import (
     LinearGaussianSSM,
-    OracleAccuracyWarning,
     ParameterDomainError,
-    joint_gaussian_loglik,
     kalman_loglik,
     kalman_score_info,
     make_nonlinear_shock_model,
-    richardson_score_info,
 )
 
 FULL = LinearGaussianSSM(init="fixed", init_sd=1.0)
@@ -115,6 +112,38 @@ def test_explosive_phi_raises_typed_domain_error():
 # ---------------------------------------------------------------------------
 
 
+def joint_gaussian_loglik(model, theta, ys):
+    """Brute-force log-likelihood from the explicit joint Gaussian of y_{1:T}.
+
+    O(T^3); an independent cross-check of the Kalman recursion for short
+    series.
+    """
+    phi, sv, sw = model.params(theta)
+    m0, p0 = model.init_moments(phi, sv)
+    ys = np.asarray(ys, dtype=np.float64)
+    big_t = ys.shape[0]
+    var_x = np.empty(big_t)
+    mean_x = np.empty(big_t)
+    var_x[0] = p0
+    mean_x[0] = m0
+    for t in range(1, big_t):
+        var_x[t] = phi**2 * var_x[t - 1] + sv**2
+        mean_x[t] = phi * mean_x[t - 1]
+    cov = np.empty((big_t, big_t))
+    for s in range(big_t):
+        for t in range(s, big_t):
+            cov[s, t] = phi ** (t - s) * var_x[s]
+            cov[t, s] = cov[s, t]
+    cov_y = cov + sw**2 * np.eye(big_t)
+    resid = ys - mean_x
+    chol = np.linalg.cholesky(cov_y)
+    alpha = np.linalg.solve(chol, resid)
+    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+    return float(
+        -0.5 * (big_t * np.log(2.0 * np.pi) + logdet + alpha @ alpha)
+    )
+
+
 def test_kalman_single_observation_closed_form():
     # x1 ~ N(0,1), y = x1 + N(0,1), y=0: l = log N(0; 0, 2)
     ll = kalman_loglik(FULL, np.array([0.5, 0.0, 0.0]), np.array([0.0]))
@@ -159,22 +188,22 @@ def test_kalman_rejects_bad_parameters():
 # ---------------------------------------------------------------------------
 
 
-def test_richardson_exact_on_quadratic_surrogate():
-    f = lambda th: -1.7 * (th[0] - 0.4) ** 2 + 0.9 * th[0] * th[1] - 2.1 * th[1] ** 2
-    der = richardson_score_info(f, np.array([0.2, -0.3]), h=0.05)
-    exact_grad = np.array(
-        [-3.4 * (0.2 - 0.4) + 0.9 * (-0.3), 0.9 * 0.2 - 4.2 * (-0.3)]
-    )
-    np.testing.assert_allclose(der.score, exact_grad, atol=1e-10)
-    np.testing.assert_allclose(
-        der.info, np.array([[3.4, -0.9], [-0.9, 4.2]]), atol=1e-9
-    )
-    assert der.score_err.max() < 1e-10
+class Richardson(NamedTuple):
+    score: np.ndarray
+    info: np.ndarray
+    score_err: np.ndarray
+    info_err: np.ndarray
 
 
-def loop_richardson(f, theta, h):
-    """Per-coordinate reference: a score pass, one f(theta), then the
-    diagonal and cross second differences, each at h and h/2."""
+def richardson_score_info(f, theta, h=0.002):
+    """Reference gradient and negated Hessian of a smooth noise-free ``f``.
+
+    Per coordinate: a score pass, one f(theta), then the diagonal and cross
+    second differences, each at h and h/2 and combined by Richardson
+    extrapolation; the discrepancy between the two steps is the per-entry
+    error estimate.
+    """
+    theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     d = theta.size
 
     def richardson(diff):
@@ -207,55 +236,59 @@ def loop_richardson(f, theta, h):
                 / (4.0 * step**2)
             )
             hess[s, r], hess_err[s, r] = hess[r, s], hess_err[r, s]
-    return score, -hess, score_err, hess_err
+    return Richardson(score, -hess, score_err, hess_err)
 
 
-def rough(th):
-    """Deterministic, with high-frequency wiggles that any change in the
-    rounding of the difference quotients would show."""
-    return float(-0.5 * th @ th + 1e-3 * np.sin(1e3 * th).sum() + th[0] * th[-1])
+def test_richardson_exact_on_quadratic_surrogate():
+    f = lambda th: -1.7 * (th[0] - 0.4) ** 2 + 0.9 * th[0] * th[1] - 2.1 * th[1] ** 2
+    der = richardson_score_info(f, np.array([0.2, -0.3]), h=0.05)
+    exact_grad = np.array(
+        [-3.4 * (0.2 - 0.4) + 0.9 * (-0.3), 0.9 * 0.2 - 4.2 * (-0.3)]
+    )
+    np.testing.assert_allclose(der.score, exact_grad, atol=1e-10)
+    np.testing.assert_allclose(
+        der.info, np.array([[3.4, -0.9], [-0.9, 4.2]]), atol=1e-9
+    )
+    assert der.score_err.max() < 1e-10
 
 
-@settings(max_examples=40, deadline=None)
-@given(d=st.integers(1, 4), h=st.floats(1e-4, 0.2), theta0=st.floats(-1.0, 1.0))
-def test_richardson_matches_per_coordinate_loops_bitwise(d, h, theta0):
-    theta = theta0 + np.linspace(-0.3, 0.4, d)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", OracleAccuracyWarning)
-        der = richardson_score_info(rough, theta, h=h)
-    fields = (der.score, der.info, der.score_err, der.info_err)
-    for got, want in zip(fields, loop_richardson(rough, theta, h)):
-        assert np.array_equal(got, want)
-
-
+@pytest.mark.parametrize("init", ["fixed", "stationary"])
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_kalman_oracle_calls_the_likelihood_once_per_stencil_node(monkeypatch, d):
+def test_kalman_oracle_matches_differenced_joint_gaussian(init, d):
+    # the exact recursion against an independent likelihood, differenced
     free = dfs.state_space.PARAM_NAMES[:d]
     spec = LinearGaussianSSM(
-        free=free, fixed={"log_sigma_v": 0.1, "log_sigma_w": -0.2}, init="fixed"
+        free=free,
+        fixed={"log_sigma_v": 0.1, "log_sigma_w": -0.2},
+        init=init,
+        init_mean=0.3,
+        init_sd=1.4,
     )
     theta = np.array([0.6, -0.1, 0.2][:d])
-    _, ys = simulate_lgssm(theta, 200, 4, spec)
-    calls = []
-
-    def counted(model, th, y):
-        calls.append(th)
-        return kalman_loglik(model, th, y)
-
-    monkeypatch.setattr(dfs.state_space, "kalman_loglik", counted)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", OracleAccuracyWarning)
-        der = kalman_score_info(spec, theta, ys)
-    assert len(calls) == 2 * (3 * d + 2 * d * (d - 1))
-    want = loop_richardson(lambda th: kalman_loglik(spec, th, ys), theta, 0.002)
-    for got, ref in zip((der.score, der.info, der.score_err, der.info_err), want):
-        assert np.array_equal(got, ref)
+    _, ys = simulate_lgssm(theta, 30, 4, spec)
+    der = kalman_score_info(spec, theta, ys)
+    ref = richardson_score_info(lambda th: joint_gaussian_loglik(spec, th, ys), theta)
+    np.testing.assert_allclose(der.score, ref.score, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(der.info, ref.info, rtol=0, atol=1e-6)
+    assert np.array_equal(der.info, der.info.T)
 
 
-def test_oracle_warns_on_large_discrepancy():
-    f = lambda th: float(np.cos(40.0 * th[0]))
-    with pytest.warns(OracleAccuracyWarning):
-        richardson_score_info(f, np.array([0.3]), h=0.2, warn_tol=1e-6)
+@settings(max_examples=25, deadline=None)
+@given(
+    phi=st.floats(-0.9, 0.9),
+    log_sv=st.floats(-0.7, 0.7),
+    log_sw=st.floats(-0.7, 0.7),
+    horizon=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    init=st.sampled_from(["fixed", "stationary"]),
+)
+def test_kalman_oracle_score_matches_richardson(phi, log_sv, log_sw, horizon, seed, init):
+    spec = LinearGaussianSSM(init=init, init_mean=-0.2, init_sd=0.8)
+    theta = np.array([phi, log_sv, log_sw])
+    _, ys = simulate_lgssm(theta, horizon, seed, spec)
+    der = kalman_score_info(spec, theta, ys)
+    ref = richardson_score_info(lambda th: kalman_loglik(spec, th, ys), theta)
+    assert np.all(np.abs(der.score - ref.score) <= 10.0 * ref.score_err + 1e-9)
 
 
 def test_oracle_score_mean_zero_at_true_parameter():
@@ -265,29 +298,17 @@ def test_oracle_score_mean_zero_at_true_parameter():
     ssm = FULL.state_space()
     scores, infos = [], []
     rng = np.random.default_rng(2024)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", OracleAccuracyWarning)
-        for _ in range(200):
-            _, ys = dfs.simulate(ssm, theta, 50, rng)
-            der = kalman_score_info(FULL, theta, ys, h=0.001)
-            scores.append(der.score)
-            infos.append(der.info)
+    for _ in range(200):
+        _, ys = dfs.simulate(ssm, theta, 50, rng)
+        der = kalman_score_info(FULL, theta, ys)
+        scores.append(der.score)
+        infos.append(der.info)
     scores = np.asarray(scores)
     se = scores.std(axis=0, ddof=1) / np.sqrt(len(scores))
     assert np.all(np.abs(scores.mean(axis=0)) < 4 * se)
     mean_info = np.mean(infos, axis=0)
     assert np.array_equal(mean_info, mean_info.T) or np.allclose(mean_info, mean_info.T)
     assert np.linalg.eigvalsh(mean_info).min() > 0
-
-
-def test_kalman_oracle_error_estimates_are_small():
-    theta = np.array([0.8, 0.0, 0.0])
-    _, ys = simulate_lgssm(theta, 50, 7)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", OracleAccuracyWarning)
-        der = kalman_score_info(FULL, theta, ys, h=0.001)
-    assert der.score_err.max() < 1e-3
-    assert der.info_err.max() < 1e-3
 
 
 # ---------------------------------------------------------------------------
