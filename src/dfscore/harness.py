@@ -395,6 +395,23 @@ def _check_theta(theta: np.ndarray, dim: int) -> None:
         )
 
 
+def _observations(path):
+    """The ``[model] data_csv`` file: one or more finite observations."""
+    try:
+        ys = load_observations(path)
+    except (OSError, ValueError, IndexError) as exc:
+        raise ConfigError(f"cannot read observations: {exc}", key="model.data_csv") from exc
+    if ys.size == 0:
+        raise ConfigError(f"{path} holds no observations", key="model.data_csv")
+    bad = np.flatnonzero(~np.isfinite(ys))
+    if bad.size:
+        raise ConfigError(
+            f"{path}: observation t={bad[0] + 1} is {ys[bad[0]]}, not finite",
+            key="model.data_csv",
+        )
+    return ys
+
+
 def build_model_bundle(config: ExperimentConfig) -> _ModelBundle:
     theta = np.asarray(config.theta, dtype=np.float64)
     params = config.model_params
@@ -461,7 +478,7 @@ def build_model_bundle(config: ExperimentConfig) -> _ModelBundle:
         raise ConfigError(str(exc), key="model.free") from exc
     _check_theta(theta, ssm.param_dim)
     if params.get("data_csv", "").strip():
-        ys = load_observations(params["data_csv"].strip())
+        ys = _observations(params["data_csv"].strip())
     else:
         theta_true = np.asarray(_floats(params.get("theta_true", "")), dtype=np.float64)
         if theta_true.size != ssm.param_dim:

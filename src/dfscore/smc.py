@@ -19,21 +19,36 @@ and ``theta_t - theta = P_{t+1} - P_t``.  Centring keeps both differences
 at the scale of the draws.
 
 The prefix sums live in a ring of ``slots = min(2*lag + 2, T + 1)`` slots
-(prefix ``k`` in slot ``k % slots``) split into two arrays:
+(prefix ``k`` in slot ``k % slots``).  Slot ``k`` is written at step
+``k - 1`` for the particles alive then, its generation.  The ring has two
+parts:
 
 * ``values``, one ``(d, n)`` float64 buffer per slot: slot ``k % slots``
-  holds ``P_k`` of the particles alive at the step that wrote it,
-  component-major (one contiguous row of ``n`` per coordinate).  A slot is
-  written once and never moved.  Separate slot buffers need no single
-  ``slots * d * n`` block, which a fragmented heap may not have free.
-* ``lineage`` ``(n, slots)`` int32: ``lineage[i, k % slots]`` is the
-  column, within that slot, of current particle ``i``'s ancestor.
+  holds ``P_k`` of its generation's particles, component-major (one
+  contiguous row of ``n`` per coordinate).  A slot is written once and
+  never moved.  Separate slot buffers need no single ``slots * d * n``
+  block, which a fragmented heap may not have free.
+* a checkpointed lineage ``table``, one ``(n,)`` int32 row per slot,
+  indexed by the particles of a checkpoint generation ``base``:
+  ``table[k % slots][j]`` is the column, within slot ``k``, of the
+  ancestor of ``base`` particle ``j``.  It is valid for the slots of
+  generations up to ``base``.  A ``cursor`` maps the current particles to
+  their ``base`` ancestors (``None`` while it is the identity), and the
+  ancestors drawn since ``base`` are kept as int32.
 
-Looking a prefix up is ``np.take(values[k], lineage[:, k], axis=1)``, and
-resampling gathers only the ``lineage`` rows, never the float values.  Every
-prefix and every difference is the same float a ring of per-particle paths
-would hold.  At lag 0 there is no window and the read-off uses the current
-draws directly, without a ring.
+Looking a prefix up is ``values[k].take(table[k].take(cursor), axis=1)``.
+Resampling costs one ``n``-gather of the cursor, and the ring write at
+step ``u`` reads slot ``u`` through the last ancestors directly.  A read-off
+at step ``u`` touches only slots of generation ``<= u - lag``, so the table
+is rebased on the current particles once ``base`` falls behind that, every
+``lag + 1`` steps, and at the last step, whose tail read-offs reach the
+newest slot.  The rebase moves the table's live rows through the cursor and
+fills the rows of the slots written since ``base`` by one backward
+composition of the stored ancestors, releasing each as it goes.  Both take
+``O(n)`` per slot, so the lineage costs ``O(n)`` per step amortized,
+whatever the lag.  Every prefix and every difference is the same float a
+ring of per-particle paths would hold.  At lag 0 there is no window and the
+read-off uses the current draws directly, without a ring.
 
 Particles are otherwise stored struct-of-arrays: parameters component-major
 (the sampler's ``(n, d)`` draws are the transpose of a ``(d, n)`` buffer,
@@ -266,8 +281,9 @@ def run_extended_bootstrap(
         # P_0 = 0 in slot 0; every other slot is written before it is read
         values = [np.zeros((d, n))] + [np.empty((d, n)) for _ in range(slots - 1)]
         rows = np.arange(n, dtype=np.int32)
-        lineage = np.repeat(rows[:, None], slots, axis=1)
-        spare = np.empty_like(lineage)
+        table = [rows] * slots  # rows are replaced, never written in place
+        base, cursor = 0, None
+        since = []  # int32 ancestors of steps base+1.., None where none were drawn
     means = np.full((horizon, d), np.nan)
     covariances = np.full((horizon, d, d), np.nan)
     pair_sums = np.full((horizon, d, d), np.nan)
@@ -277,11 +293,13 @@ def run_extended_bootstrap(
     loglik = 0.0
     log_prev = None  # None encodes uniform weights from the last resampling
     x = None
+    ancestors = None  # of the previous step; None when it did not resample
 
     def prefix(k):
         """``P_k`` of the current particles, ``(d, n)``."""
         k %= slots
-        return np.take(values[k], lineage[:, k], axis=1)
+        cols = table[k] if cursor is None else table[k].take(cursor)
+        return values[k].take(cols, axis=1)
 
     def read_off(t, u, w):
         readoff_horizon[t] = u + 1
@@ -329,8 +347,22 @@ def run_extended_bootstrap(
 
         if lag:
             new = (u + 1) % slots
-            np.add(prefix(u), thetas.T - theta[:, None], out=values[new])
-            lineage[:, new] = rows
+            p_u = values[u % slots]
+            if ancestors is not None:
+                p_u = p_u.take(ancestors, axis=1)
+            np.add(p_u, thetas.T - theta[:, None], out=values[new])
+            if u - lag > base or u == horizon - 1:
+                # rebase the table on the current particles
+                table[new] = rows
+                for k in range(u, base + 1, -1):
+                    a = since.pop()  # the ancestors drawn at step k - 1
+                    after = table[(k + 1) % slots]
+                    table[k % slots] = after if a is None else a.take(after)
+                if cursor is not None:
+                    # read-offs from step u on reach back to prefix u - 2*lag
+                    for k in range(max(0, u - 2 * lag), base + 2):
+                        table[k % slots] = table[k % slots].take(cursor)
+                base, cursor = u, None
 
         t = u - lag
         if t >= 0:
@@ -346,12 +378,15 @@ def run_extended_bootstrap(
         if do_resample:
             ancestors = resample(w, config.resampling, rng)
             x = np.take(x, ancestors, axis=0)
-            if lag:
-                np.take(lineage, ancestors, axis=0, out=spare, mode="clip")
-                lineage, spare = spare, lineage
             log_prev = None
         else:
+            ancestors = None
             log_prev = logw - lse
+        if lag:
+            if u > base:  # the ancestors drawn at base itself live in the cursor
+                since.append(ancestors if ancestors is None else ancestors.astype(np.int32))
+            if ancestors is not None:
+                cursor = ancestors if cursor is None else cursor.take(ancestors)
 
     return FixedLagAccumulator(
         means=means,

@@ -102,7 +102,7 @@ def load_observations(path) -> np.ndarray:
     """Read a ``t,y`` observation CSV back into a float array."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != ["t", "y"]:
             raise ValueError(f"unexpected observation CSV header: {header}")
         return np.array([float(row[1]) for row in reader])

@@ -194,6 +194,23 @@ def test_bad_lgssm_model_value_is_a_config_error(tmp_path, capsys, old, new, key
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "rows",
+    ["t,y\n", None, "time,y\n1,0.3\n2,0.1\n", "t,y\n1,0.3\n2,nan\n3,0.1\n"],
+    ids=["header-only", "missing-file", "wrong-header", "nan-value"],
+)
+def test_bad_data_csv_is_a_config_error(tmp_path, capsys, rows):
+    data = tmp_path / "ys.csv"
+    if rows is not None:
+        data.write_text(rows)
+    text = SMC_POINT.replace("horizon = 8", f"horizon = 8\ndata_csv = {data}")
+    config = write(tmp_path, text, "bad.ini")
+    out = tmp_path / "bad.csv"
+    assert main(["estimate", "--config", config, "--out", str(out)]) == EXIT_CONFIG
+    assert "(key: model.data_csv)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 NONLINEAR_POINT = SMC_POINT.replace("kind = lgssm", "kind = nonlinear-ar1")
 
 

@@ -149,7 +149,7 @@ def test_rescalers_take_only_a_matching_perturbation_kernel():
         dfs.observed_info_from_moments(mom, 0.1, K1)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(seed=st.integers(min_value=0, max_value=2**31), d=st.integers(2, 4))
 def test_info_symmetric_bitwise_for_random_moments(seed, d):
     rng = np.random.default_rng(seed)
@@ -172,7 +172,7 @@ def test_score_equivariance_power_of_two_rescaling():
         assert np.array_equal(s1.values, s2.values)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(
     seed=st.integers(0, 2**32 - 1),
     d=st.integers(1, 3),
@@ -301,7 +301,7 @@ def noisy_loglik(theta, rng):
     return smooth + 0.01 * rng.standard_normal()
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     d=st.integers(1, 4),
     seed=st.integers(0, 2**31),

@@ -120,7 +120,7 @@ def _mean_cov_and_crosscov(x, y, w):
     return (*kernels.weighted_mean_cov(x, w), kernels.weighted_crosscov(x, y, w))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(**_PARTICLE_CASES)
 def test_moment_kernels_ignore_input_layout_and_leave_inputs_intact(seed, n, d):
     xt, yt, w = _particles(seed, n, d)
@@ -140,7 +140,7 @@ def test_moment_kernels_ignore_input_layout_and_leave_inputs_intact(seed, n, d):
             assert np.array_equal(ref, out), name
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(**_PARTICLE_CASES)
 def test_moment_kernels_are_invariant_to_particle_order(seed, n, d):
     xt, yt, w = _particles(seed, n, d)

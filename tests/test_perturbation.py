@@ -88,7 +88,7 @@ def test_empirical_fourth_moment_matches_analytic():
     assert abs(emp - 0.1875) < 4 * se
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(
     sigmas=safe_sigmas,
     tau=st.floats(min_value=0.001, max_value=2.0),
@@ -109,7 +109,7 @@ def test_symmetry_in_injected_noise(sigmas, tau, seed):
     np.testing.assert_allclose(up + down, 2 * center, rtol=0, atol=1e-14 * np.max(scale))
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(
     sigmas=safe_sigmas,
     tau=st.floats(min_value=0.001, max_value=2.0),
@@ -130,7 +130,7 @@ def test_scale_equivalence_power_of_two(sigmas, tau, log2c, seed):
     )
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(
     sigmas=safe_sigmas,
     tau=st.one_of(st.just(0.0), st.floats(min_value=0.001, max_value=2.0)),

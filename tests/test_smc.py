@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -96,7 +97,7 @@ _WEIGHTS = st.lists(
 ).filter(any)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     weights=_WEIGHTS,
     scheme=st.sampled_from(["multinomial", "systematic"]),
@@ -306,7 +307,7 @@ def test_full_lag_values_are_identical_for_any_big_lag():
     assert acc_a.loglik_estimate == acc_b.loglik_estimate
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(
     horizon=st.integers(1, 12),
     extra=st.integers(0, 40),
@@ -444,16 +445,20 @@ def float_ring_filter(ssm, ys, cfg, rng):
     """Extended filter carrying whole prefix-sum rows per particle.
 
     The ring is ``(n, slots, d)`` float64 and is gathered row by row at every
-    resampling, the layout the lineage ring replaces.  Consumes the random
+    resampling, so each particle carries its own prefix sums and there is no
+    lineage bookkeeping to get wrong.  The lag is clamped to ``T - 1`` and
+    lag 0 reads the current draws, as the filter does.  Consumes the random
     stream like ``run_extended_bootstrap`` and calls the same kernels, so
     the two must agree bit for bit.
     """
-    n, horizon, lag, d = cfg.n_particles, len(ys), cfg.lag, cfg.kernel.dim
+    n, horizon, d = cfg.n_particles, len(ys), cfg.kernel.dim
+    lag = min(cfg.lag, horizon - 1)
     slots = min(2 * lag + 2, horizon + 1)
     prefix = np.zeros((n, slots, d))
     means = np.empty((horizon, d))
     covs = np.empty((horizon, d, d))
     pair_sums = np.empty((horizon, d, d))
+    ess_trace = np.empty(horizon)
     crosscovs = {}
     loglik, log_prev, x = 0.0, None, None
     for u in range(horizon):
@@ -463,53 +468,125 @@ def float_ring_filter(ssm, ys, cfg, rng):
         logw = logg if log_prev is None else log_prev + logg
         w, lse = kernels.normalize_log_weights(logw)
         loglik += lse - (math.log(n) if log_prev is None else 0.0)
+        ess_trace[u] = 1.0 / float(w @ w)
         prefix[:, (u + 1) % slots] = prefix[:, u % slots] + (thetas - cfg.theta)
         due = [u - lag] if u >= lag else []
         if u == horizon - 1:
             due += range(max(0, horizon - lag), horizon)
         for t in due:
+            pair_sums[t] = 0.0
+            if not lag:
+                means[t], covs[t] = kernels.weighted_mean_cov(thetas, w)
+                continue
             p_t = prefix[:, t % slots]
             draw = prefix[:, (t + 1) % slots] - p_t
             mean, covs[t] = kernels.weighted_mean_cov(draw, w)
             means[t] = cfg.theta + mean
             first = max(0, t - lag)
-            pair_sums[t] = 0.0
             if t > first:
                 window = p_t - prefix[:, first % slots]
                 pair_sums[t] = kernels.weighted_crosscov(window, draw, w)
             for s in range(first, t):
                 draw_s = prefix[:, (s + 1) % slots] - prefix[:, s % slots]
                 crosscovs[(s, t)] = kernels.weighted_crosscov(draw_s, draw, w)
-        if cfg.ess_threshold is None or 1.0 / float(w @ w) < cfg.ess_threshold * n:
+        if cfg.ess_threshold is None or ess_trace[u] < cfg.ess_threshold * n:
             ancestors = resample(w, cfg.resampling, rng)
             x, prefix = x[ancestors], prefix[ancestors]
             log_prev = None
         else:
             log_prev = logw - lse
     return dict(
-        means=means, covariances=covs, pair_sums=pair_sums, loglik_estimate=loglik,
-        crosscovs=crosscovs,
+        means=means, covariances=covs, pair_sums=pair_sums, ess_trace=ess_trace,
+        loglik_estimate=loglik, crosscovs=crosscovs,
     )
+
+
+def assert_matches_float_ring(horizon, lag, resampling, ess_threshold, pairwise=True, seed=6,
+                              n_particles=200):
+    """Assert the filter equals ``float_ring_filter`` bit for bit; return its accumulator."""
+    ssm, ys = lgssm2_setup(horizon)
+    cfg = ExtendedFilterConfig(
+        theta=np.array([0.6, -0.1]), tau=0.05, kernel=dfs.make_gaussian_kernel([1.2, 1.2]),
+        lag=lag, n_particles=n_particles, resampling=resampling, ess_threshold=ess_threshold,
+        pairwise=pairwise,
+    )
+    acc = dfs.run_extended_bootstrap(ssm, ys, cfg, rng=np.random.default_rng(seed))
+    ref = float_ring_filter(ssm, ys, cfg, np.random.default_rng(seed))
+    for name in ("means", "covariances", "pair_sums", "ess_trace"):
+        assert np.array_equal(getattr(acc, name), ref[name]), name
+    assert acc.loglik_estimate == ref["loglik_estimate"]
+    if not pairwise:
+        assert acc.crosscovs is None
+        return acc
+    assert sorted(acc.crosscovs) == sorted(ref["crosscovs"])
+    for key, c in acc.crosscovs.items():
+        assert np.array_equal(c, ref["crosscovs"][key]), key
+    return acc
 
 
 @pytest.mark.parametrize("ess_threshold", [None, 0.5])
 @pytest.mark.parametrize("resampling", ["multinomial", "systematic"])
 @pytest.mark.parametrize("lag", [1, 3, 11, 17])  # T = 12: T-1 and T+5 included
 def test_lineage_ring_matches_float_ring_bitwise(lag, resampling, ess_threshold):
-    ssm, ys = lgssm2_setup()
+    assert_matches_float_ring(12, lag, resampling, ess_threshold)
+
+
+@pytest.mark.parametrize("ess_threshold", [None, 0.5])
+@pytest.mark.parametrize("resampling", ["multinomial", "systematic"])
+@pytest.mark.parametrize("lag", [1, 2, 3, 7, 13, 39, 45])
+def test_lineage_table_matches_float_ring_across_rebases(lag, resampling, ess_threshold):
+    # T = 40 rebases the table every lag + 1 steps, many times at small lags
+    assert_matches_float_ring(40, lag, resampling, ess_threshold)
+
+
+def test_lineage_table_matches_float_ring_when_no_resampling_spans_a_rebase():
+    # lag 1 rebases every 2 steps, so 3 steps in a row without resampling
+    # hold a whole rebase period with an identity cursor
+    acc = assert_matches_float_ring(40, 1, "multinomial", 0.5)
+    kept = "".join("k" if e >= 0.5 * acc.n_particles else "r" for e in acc.ess_trace)
+    assert "kkk" in kept, kept
+
+
+@settings(max_examples=100)
+@given(
+    horizon=st.integers(1, 40),
+    data=st.data(),
+    resampling=st.sampled_from(["multinomial", "systematic"]),
+    ess_threshold=st.sampled_from([None, 0.5, 0.9]),
+    pairwise=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lineage_table_matches_float_ring_property(
+    horizon, data, resampling, ess_threshold, pairwise, seed
+):
+    lag = data.draw(st.integers(0, horizon + 5), label="lag")
+    assert_matches_float_ring(
+        horizon, lag, resampling, ess_threshold, pairwise=pairwise, seed=seed, n_particles=50
+    )
+
+
+@pytest.mark.parametrize("lag, gather_mb", [(2, 0.61), (10, 1.38), (50, 5.23), (199, 10.00)])
+def test_filter_peak_allocation_stays_within_the_full_ring_gather(lag, gather_mb):
+    # gather_mb: tracemalloc peaks of a lineage that gathered the whole int32
+    # ring into a spare at every resampling (T = 200, N = 2000)
+    ssm, ys = lgssm2_setup(200)
     cfg = ExtendedFilterConfig(
         theta=np.array([0.6, -0.1]), tau=0.05, kernel=dfs.make_gaussian_kernel([1.2, 1.2]),
-        lag=lag, n_particles=200, resampling=resampling, ess_threshold=ess_threshold,
-        pairwise=True,
+        lag=lag, n_particles=2000,
     )
-    acc = dfs.run_extended_bootstrap(ssm, ys, cfg, rng=np.random.default_rng(6))
-    ref = float_ring_filter(ssm, ys, cfg, np.random.default_rng(6))
-    for name in ("means", "covariances", "pair_sums"):
-        assert np.array_equal(getattr(acc, name), ref[name]), name
-    assert acc.loglik_estimate == ref["loglik_estimate"]
-    assert sorted(acc.crosscovs) == sorted(ref["crosscovs"])
-    for key, c in acc.crosscovs.items():
-        assert np.array_equal(c, ref["crosscovs"][key]), key
+    rng = np.random.default_rng(1)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        dfs.run_extended_bootstrap(ssm, ys, cfg, rng=rng)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 1.05 * gather_mb * 1e6
 
 
 @pytest.mark.parametrize("ess_threshold", [None, 0.5])
@@ -731,7 +808,7 @@ def test_info_zero_when_variances_match_prior():
     np.testing.assert_allclose(info.values, 0.0, atol=1e-10)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(seed=st.integers(0, 2**31))
 def test_info_from_accumulator_bitwise_symmetric(seed):
     acc = make_accumulator(np.random.default_rng(seed))

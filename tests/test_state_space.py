@@ -273,7 +273,7 @@ def test_kalman_oracle_matches_differenced_joint_gaussian(init, d):
     assert np.array_equal(der.info, der.info.T)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(
     phi=st.floats(-0.9, 0.9),
     log_sv=st.floats(-0.7, 0.7),
