@@ -10,7 +10,6 @@ from .general import (
     DegeneratePosteriorError,
     FDConfig,
     GeneralModel,
-    GridSpec,
     PosteriorMoments,
     fd_info,
     fd_score,
@@ -53,7 +52,6 @@ __all__ = [
     "FDConfig",
     "FixedLagAccumulator",
     "GeneralModel",
-    "GridSpec",
     "InfoEstimate",
     "KalmanDerivatives",
     "LinearGaussianSSM",

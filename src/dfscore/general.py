@@ -24,7 +24,6 @@ __all__ = [
     "PosteriorMoments",
     "DegeneratePosteriorError",
     "posterior_moments_is",
-    "GridSpec",
     "posterior_moments_quadrature",
     "score_from_moments",
     "observed_info_from_moments",
@@ -124,24 +123,10 @@ def posterior_moments_is(
     return PosteriorMoments(mean=mean, covariance=cov, ess=ess, n=n)
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Tensor-grid resolution for the quadrature oracle.
-
-    The grid spans ``half_width_sds`` prior standard deviations either side
-    of the center with ``points_per_axis`` nodes; both have floors that keep
-    the trapezoid error far below sampling noise.
-    """
-
-    points_per_axis: int = 2001
-    half_width_sds: float = 8.0
-
-    def __post_init__(self):
-        if self.points_per_axis < 2001:
-            raise ValueError("points_per_axis must be >= 2001")
-        if self.half_width_sds < 8.0:
-            raise ValueError("half_width_sds must be >= 8")
-
+# The quadrature grid: points per axis and half-width in prior standard
+# deviations, which keep the trapezoid error far below sampling noise.
+_QUAD_POINTS = 2001
+_QUAD_HALF_WIDTH_SDS = 8.0
 
 # Nodes per likelihood call when the 2-D grid is streamed in row blocks: big
 # enough to amortize the call, small next to the (m, m) log-posterior matrix.
@@ -176,12 +161,13 @@ def posterior_moments_quadrature(
     theta,
     tau: float,
     kernel: PerturbationKernel,
-    grid: GridSpec = GridSpec(),
 ) -> PosteriorMoments:
     """Exact posterior moments by trapezoidal quadrature (dim <= 2 only).
 
-    Error is dominated by grid truncation, not sampling; with the default
-    grid it is far below 1e-8 for smooth likelihoods.
+    The grid is fixed: ``_QUAD_POINTS`` = 2001 nodes per axis spanning
+    ``_QUAD_HALF_WIDTH_SDS`` = 8 prior standard deviations either side of
+    ``theta``.  Error is dominated by grid truncation, not sampling, and is
+    far below 1e-8 for smooth likelihoods.
 
     The prior density and the trapezoid coefficients factor over the axes,
     so their log-weights are one ``(m,)`` vector per axis and the grid is
@@ -203,12 +189,12 @@ def posterior_moments_quadrature(
         raise ValueError("tau must be > 0 for quadrature moments")
     theta = np.asarray(theta, dtype=np.float64)
 
-    m = grid.points_per_axis
+    m = _QUAD_POINTS
     axes = []
     log_w = []
     for i in range(model.dim):
         scale = tau * kernel.sigmas[i]
-        half = grid.half_width_sds * scale
+        half = _QUAD_HALF_WIDTH_SDS * scale
         axis = np.linspace(theta[i] - half, theta[i] + half, m)
         coeff = np.full(m, axis[1] - axis[0])
         coeff[0] *= 0.5
@@ -290,7 +276,7 @@ def score_from_moments(
         raise ValueError("posterior mean must be finite")
     displacement = moments.mean - np.asarray(theta, dtype=np.float64)
     values = _rescale_score(displacement, tau, sigma)
-    return ScoreEstimate(values=values, tau=tau, n=moments.n, method="posterior-mean")
+    return ScoreEstimate(values)
 
 
 def observed_info_from_moments(
@@ -302,7 +288,7 @@ def observed_info_from_moments(
     the covariance of the kernel ``sigma``, symmetric exactly.
     """
     values = _rescale_info(moments.covariance, 1, tau, sigma)
-    return InfoEstimate(values=values, tau=tau, n=moments.n, method="posterior-cov")
+    return InfoEstimate(values)
 
 
 @dataclass(frozen=True)
@@ -314,7 +300,7 @@ class FDConfig:
     """
 
     h: float
-    base_seed: Optional[int] = None
+    base_seed: int
 
     def __post_init__(self):
         if self.h <= 0.0:
@@ -322,8 +308,6 @@ class FDConfig:
 
 
 def _node_rng(config: FDConfig, k: int) -> np.random.Generator:
-    if config.base_seed is None:
-        return np.random.default_rng()
     return np.random.default_rng(np.random.SeedSequence((config.base_seed, k)))
 
 
@@ -397,7 +381,7 @@ def fd_score(
     evaluations of each coordinate use independent streams.
     """
     values, _ = _fd_evaluate(loglik, theta, config, "score")
-    return ScoreEstimate(values=values, tau=None, n=None, method="fd-central")
+    return ScoreEstimate(values)
 
 
 def fd_info(
@@ -412,4 +396,4 @@ def fd_info(
     evaluations are independent.
     """
     _, hess = _fd_evaluate(loglik, theta, config, "oim")
-    return InfoEstimate(values=-hess, tau=None, n=None, method="fd-central")
+    return InfoEstimate(-hess)

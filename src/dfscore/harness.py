@@ -23,7 +23,7 @@ import re
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
@@ -44,6 +44,7 @@ from .general import (
 from .models import gaussian_location_model, poisson_loglink_model
 from .perturbation import PerturbationKernel, make_gaussian_kernel
 from .smc import (
+    RESAMPLING_SCHEMES,
     ExtendedFilterConfig,
     ParticleCollapseError,
     bootstrap_loglik,
@@ -82,25 +83,6 @@ __all__ = [
 
 MODEL_KINDS = ("conjugate-gaussian", "poisson", "lgssm", "nonlinear-ar1")
 
-# Schema v1.  The golden-file test pins these headers; any change is a new
-# schema version.
-RUN_RECORD_FIELDS = (
-    "run_id",
-    "seed",
-    "method",
-    "tau",
-    "h",
-    "delta",
-    "n_particles",
-    "T",
-    "comp_i",
-    "comp_j",
-    "estimate",
-    "oracle",
-    "abs_error",
-    "wall_time_ms",
-    "error",
-)
 COMPARE_TABLE_FIELDS = (
     "method",
     "comp_i",
@@ -141,6 +123,11 @@ class RunRecord:
     abs_error: Optional[float]
     wall_time_ms: Optional[float]
     error: str = ""
+
+
+# Schema v1.  The golden-file test pins this header; any change to the
+# RunRecord fields or their order is a new schema version.
+RUN_RECORD_FIELDS = tuple(field.name for field in fields(RunRecord))
 
 
 @dataclass(frozen=True)
@@ -191,6 +178,19 @@ class ExperimentConfig:
             raise ConfigError(
                 "kernel sigmas must be finite and > 0", key="estimator.kernel_sigmas"
             )
+        if self.resampling not in RESAMPLING_SCHEMES:
+            raise ConfigError(
+                f"resampling must be one of {RESAMPLING_SCHEMES}, got {self.resampling!r}",
+                key="estimator.resampling",
+            )
+        if self.ess_threshold is not None and not 0.0 < self.ess_threshold <= 1.0:
+            raise ConfigError(
+                "ess_threshold must lie in (0, 1]", key="estimator.ess_threshold"
+            )
+        if self.fd_particles is not None and self.fd_particles < 2:
+            raise ConfigError("fd_particles must be >= 2", key="estimator.fd_particles")
+        if self.compare_smc_n < 2:
+            raise ConfigError("smc_n must be >= 2", key="compare.smc_n")
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +240,23 @@ def _ints(text: str) -> tuple:
     return tuple(int(x) for x in text.split(",") if x.strip() != "")
 
 
+def _or_none(kind):
+    """``kind``, reading a blank value as None."""
+    return lambda text: kind(text) if text.strip() else None
+
+
+def _number(section, name: str, key: str, default, kind=float):
+    """``[name] key`` parsed by ``kind``, or ``default`` when it is unset."""
+    if key not in section:
+        return default
+    try:
+        return kind(section[key])
+    except ValueError as exc:
+        raise ConfigError(
+            f"malformed value {section[key]!r}", key=f"{name}.{key}"
+        ) from exc
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse and validate an experiment config file."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -278,41 +295,37 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(
                 "give either a tau grid or a tau_rule, not both", key="grid.tau_rule"
             )
-        if not _TAU_RULE_RE.match(tau_rule):
+        match = _TAU_RULE_RE.match(tau_rule)
+        if not match:
             raise ConfigError(
                 f"tau_rule must look like n^(-1/6), got {tau_rule!r}",
                 key="grid.tau_rule",
             )
+        if int(match.group(2)) == 0:
+            raise ConfigError(
+                f"tau_rule has a zero denominator: {tau_rule!r}", key="grid.tau_rule"
+            )
 
-    try:
-        config = ExperimentConfig(
-            model_kind=kind,
-            model_params=model_params,
-            method=est.get("method", ""),
-            theta=_floats(est.get("theta", "")),
-            kernel_sigmas=_floats(est.get("kernel_sigmas", "1.0")),
-            resampling=est.get("resampling", "multinomial"),
-            ess_threshold=(
-                float(est["ess_threshold"])
-                if est.get("ess_threshold", "").strip()
-                else None
-            ),
-            loglik_source=est.get("loglik_source", "exact"),
-            fd_particles=(
-                int(est["fd_particles"]) if est.get("fd_particles", "").strip() else None
-            ),
-            taus=_floats(taus_text) if taus_text else (0.1,),
-            ns=_ints(grid.get("n", "1000")),
-            deltas=_ints(grid.get("delta", "0")),
-            hs=_floats(grid.get("h", "0.1")),
-            tau_rule=tau_rule or None,
-            replications=run.getint("replications", 1),
-            base_seed=run.getint("seed", 0),
-            compare_target=compare.get("target", "score"),
-            compare_smc_n=int(compare.get("smc_n", "5000")),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"malformed value: {exc}")
+    config = ExperimentConfig(
+        model_kind=kind,
+        model_params=model_params,
+        method=est.get("method", ""),
+        theta=_number(est, "estimator", "theta", (), _floats),
+        kernel_sigmas=_number(est, "estimator", "kernel_sigmas", (1.0,), _floats),
+        resampling=est.get("resampling", "multinomial"),
+        ess_threshold=_number(est, "estimator", "ess_threshold", None, _or_none(float)),
+        loglik_source=est.get("loglik_source", "exact"),
+        fd_particles=_number(est, "estimator", "fd_particles", None, _or_none(int)),
+        taus=_number(grid, "grid", "tau", (0.1,), _floats) if taus_text else (0.1,),
+        ns=_number(grid, "grid", "n", (1000,), _ints),
+        deltas=_number(grid, "grid", "delta", (0,), _ints),
+        hs=_number(grid, "grid", "h", (0.1,), _floats),
+        tau_rule=tau_rule or None,
+        replications=_number(run, "run", "replications", 1, int),
+        base_seed=_number(run, "run", "seed", 0, int),
+        compare_target=compare.get("target", "score"),
+        compare_smc_n=_number(compare, "compare", "smc_n", 5000, int),
+    )
     if not config.theta:
         raise ConfigError("estimator.theta is required", key="estimator.theta")
     if config.loglik_source not in ("exact", "smc"):
@@ -364,23 +377,11 @@ class _ModelBundle:
     oracle_info: Optional[np.ndarray] = None
 
 
-def _model_number(params, key, default, kind=float):
-    """``[model] key`` parsed by ``kind``, or ``default`` when it is unset."""
-    if key not in params:
-        return default
-    try:
-        return kind(params[key])
-    except ValueError as exc:
-        raise ConfigError(
-            f"malformed value {params[key]!r}", key=f"model.{key}"
-        ) from exc
-
-
 def _free_fixed(params, default_free: str):
     """Free parameter names, and the values of the other named parameters."""
     free = tuple(name.strip() for name in params.get("free", default_free).split(","))
     fixed = {
-        name: _model_number(params, name, None)
+        name: _number(params, "model", name, None)
         for name in PARAM_NAMES
         if name not in free and name in params
     }
@@ -417,15 +418,15 @@ def build_model_bundle(config: ExperimentConfig) -> _ModelBundle:
     params = config.model_params
     if config.model_kind in ("conjugate-gaussian", "poisson"):
         if config.model_kind == "conjugate-gaussian":
-            dim = _model_number(params, "dim", len(theta), int)
-            y = _model_number(params, "y", 0.0)
-            obs_sd = _model_number(params, "obs_sd", 1.0)
+            dim = _number(params, "model", "dim", len(theta), int)
+            y = _number(params, "model", "y", 0.0)
+            obs_sd = _number(params, "model", "obs_sd", 1.0)
             model = gaussian_location_model(y=y, obs_sd=obs_sd, dim=dim)
             _check_theta(theta, dim)
             score = (np.full(dim, y) - theta) / obs_sd**2
             info = np.eye(dim) / obs_sd**2
         else:
-            y = int(_model_number(params, "y", 1.0))
+            y = int(_number(params, "model", "y", 1.0))
             model = poisson_loglink_model(y)
             _check_theta(theta, 1)
             with np.errstate(over="ignore"):
@@ -445,11 +446,11 @@ def build_model_bundle(config: ExperimentConfig) -> _ModelBundle:
         )
 
     # state-space kinds
-    horizon = _model_number(params, "horizon", 50, int)
+    horizon = _number(params, "model", "horizon", 50, int)
     if horizon < 1:
         raise ConfigError("horizon must be >= 1", key="model.horizon")
-    init_mean = _model_number(params, "init_mean", 0.0)
-    init_sd = _model_number(params, "init_sd", 1.0)
+    init_mean = _number(params, "model", "init_mean", 0.0)
+    init_sd = _number(params, "model", "init_sd", 1.0)
     # nonlinear-ar1 has only the fixed initial law N(init_mean, init_sd^2)
     inits = ("stationary", "fixed") if config.model_kind == "lgssm" else ("fixed",)
     init = params.get("init", inits[0])
@@ -480,13 +481,13 @@ def build_model_bundle(config: ExperimentConfig) -> _ModelBundle:
     if params.get("data_csv", "").strip():
         ys = _observations(params["data_csv"].strip())
     else:
-        theta_true = np.asarray(_floats(params.get("theta_true", "")), dtype=np.float64)
+        theta_true = np.asarray(_number(params, "model", "theta_true", (), _floats))
         if theta_true.size != ssm.param_dim:
             raise ConfigError(
                 "theta_true must match the model's free-parameter count",
                 key="model.theta_true",
             )
-        data_rng = np.random.default_rng(_model_number(params, "data_seed", 0, int))
+        data_rng = np.random.default_rng(_number(params, "model", "data_seed", 0, int))
         _, ys = simulate(ssm, theta_true, horizon, data_rng)
     bundle = _ModelBundle(dim=ssm.param_dim, ssm=ssm, ys=ys, horizon=len(ys))
     if spec is not None:
@@ -621,6 +622,7 @@ _KERNEL = (
     "estimator.kernel_sigmas",
 )
 _SSM = (lambda c, b: b.ssm is not None, "a state-space model", "estimator.method")
+_TAU = (lambda c, b: all(p.tau > 0 for p in _build_grid(c)), "tau > 0", "grid.tau")
 _LOGLIK = (
     lambda c, b: (b.ssm if c.loglik_source == "smc" else b.loglik_point) is not None,
     "an exact log-likelihood, or loglik_source = smc on a state-space model",
@@ -641,12 +643,16 @@ class _Source(NamedTuple):
 
 
 _SOURCES = {
-    "is": _Source(_is_estimate, ("tau", "n_particles", "oracle"), (_GENERAL, _KERNEL)),
-    "quad": _Source(_quad_estimate, ("tau", "oracle"), (_GENERAL, _AT_MOST_2D, _KERNEL)),
+    "is": _Source(
+        _is_estimate, ("tau", "n_particles", "oracle"), (_GENERAL, _KERNEL, _TAU)
+    ),
+    "quad": _Source(
+        _quad_estimate, ("tau", "oracle"), (_GENERAL, _AT_MOST_2D, _KERNEL, _TAU)
+    ),
     # FD on SMC likelihoods reports the particles per stencil node
     "fd": _Source(_fd_estimate, ("h", "fd_particles", "oracle"), (_LOGLIK,)),
     "smc": _Source(
-        _smc_estimate, ("tau", "delta", "n_particles", "oracle"), (_SSM, _KERNEL)
+        _smc_estimate, ("tau", "delta", "n_particles", "oracle"), (_SSM, _KERNEL, _TAU)
     ),
     "oracle": _Source(_oracle_estimate, (), (_ORACLE,)),
 }

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -12,12 +11,9 @@ __all__ = ["ScoreEstimate", "InfoEstimate"]
 
 @dataclass(frozen=True)
 class ScoreEstimate:
-    """Estimated log-likelihood gradient with its provenance tags."""
+    """Estimated log-likelihood gradient; ``values`` is read-only."""
 
     values: np.ndarray
-    tau: Optional[float] = None
-    n: Optional[int] = None
-    method: str = ""
 
     def __post_init__(self):
         values = np.atleast_1d(np.asarray(self.values, dtype=np.float64))
@@ -30,9 +26,6 @@ class InfoEstimate:
     """Estimated observed information matrix; symmetric, enforced exactly."""
 
     values: np.ndarray
-    tau: Optional[float] = None
-    n: Optional[int] = None
-    method: str = ""
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)

@@ -106,8 +106,6 @@ class ExtendedFilterConfig:
     likelihood estimation; the moment read-offs then carry no information).
     ``ess_threshold = None`` resamples every step, which is the analyzed
     setting; a fractional threshold enables ESS-triggered resampling.
-    ``pairwise = True`` also keeps every in-lag cross-covariance on its own
-    (``FixedLagAccumulator.crosscovs``), at a cost that grows with the lag.
     """
 
     theta: np.ndarray
@@ -117,7 +115,6 @@ class ExtendedFilterConfig:
     n_particles: int
     resampling: str = "multinomial"
     ess_threshold: Optional[float] = None
-    pairwise: bool = False
 
     def __post_init__(self):
         theta = np.atleast_1d(np.asarray(self.theta, dtype=np.float64))
@@ -144,11 +141,13 @@ class FixedLagAccumulator:
     ``means[t]`` and ``covariances[t]`` estimate the lagged-horizon posterior
     mean/covariance of the step-(t+1) parameter, and ``pair_sums[t]`` the sum
     of its cross-covariances ``C_st = Cov(theta_s, theta_t)`` over 0-based
-    ``s`` with ``1 <= t - s <= lag`` (zero when there is no such ``s``).
-    ``crosscovs[(s, t)]`` holds each ``C_st`` on its own when the filter ran
-    with ``pairwise=True`` and is ``None`` otherwise.
-    ``readoff_horizon[t]`` records the 1-based step whose weights produced
-    the read-off (``min(t + 1 + lag, T)`` by construction).
+    ``s`` with ``1 <= t - s <= lag`` (zero when there is no such ``s``),
+    computed as one cross-covariance of the window sum; the observed
+    information needs only that sum.  ``readoff_horizon[t]`` records the
+    1-based step whose weights produced the read-off (``min(t + 1 + lag,
+    T)`` by construction).  ``loglik_estimate`` is the filter's
+    log-likelihood estimate and ``ess_trace[u]`` the effective sample size
+    at 1-based step ``u + 1``.
     """
 
     means: np.ndarray
@@ -157,10 +156,6 @@ class FixedLagAccumulator:
     loglik_estimate: float
     readoff_horizon: np.ndarray
     ess_trace: np.ndarray
-    tau: float
-    lag: int
-    n_particles: int
-    crosscovs: Optional[dict] = None
 
     @property
     def horizon(self) -> int:
@@ -191,27 +186,6 @@ class FixedLagAccumulator:
                             repr(float(self.covariances[t, i, i])),
                         ]
                     )
-
-    def save_crosscov_csv(self, path) -> None:
-        """Rows ``s,t,i,j,crosscov`` with 1-based indices.
-
-        Needs the per-pair cross-covariances of a ``pairwise=True`` run.
-        """
-        if self.crosscovs is None:
-            raise ValueError(
-                "per-pair cross-covariances were not kept; run the filter "
-                "with ExtendedFilterConfig(pairwise=True)"
-            )
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["s", "t", "i", "j", "crosscov"])
-            for (s, t) in sorted(self.crosscovs):
-                c = self.crosscovs[(s, t)]
-                for i in range(self.dim):
-                    for j in range(self.dim):
-                        writer.writerow(
-                            [s + 1, t + 1, i + 1, j + 1, repr(float(c[i, j]))]
-                        )
 
 
 def resample(weights, scheme: str, rng: np.random.Generator) -> np.ndarray:
@@ -287,7 +261,6 @@ def run_extended_bootstrap(
     means = np.full((horizon, d), np.nan)
     covariances = np.full((horizon, d, d), np.nan)
     pair_sums = np.full((horizon, d, d), np.nan)
-    crosscovs = {} if config.pairwise else None
     readoff_horizon = np.zeros(horizon, dtype=np.int64)
     ess_trace = np.empty(horizon)
     loglik = 0.0
@@ -317,10 +290,6 @@ def run_extended_bootstrap(
         else:
             window = p_t - prefix(first)
             pair_sums[t] = kernels.weighted_crosscov(window.T, draw.T, w)
-        if crosscovs is not None:
-            for s in range(first, t):
-                draw_s = prefix(s + 1) - prefix(s)
-                crosscovs[(s, t)] = kernels.weighted_crosscov(draw_s.T, draw.T, w)
 
     for u in range(horizon):
         thetas = config.kernel.sample(theta, config.tau, rng, size=n)
@@ -395,10 +364,6 @@ def run_extended_bootstrap(
         loglik_estimate=loglik,
         readoff_horizon=readoff_horizon,
         ess_trace=ess_trace,
-        tau=config.tau,
-        lag=config.lag,
-        n_particles=n,
-        crosscovs=crosscovs,
     )
 
 
@@ -415,7 +380,7 @@ def score_from_accumulator(
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     displacement = acc.means.sum(axis=0) - acc.horizon * theta
     values = _rescale_score(displacement, tau, sigma)
-    return ScoreEstimate(values=values, tau=tau, n=acc.n_particles, method="smc-fixed-lag")
+    return ScoreEstimate(values)
 
 
 def observed_info_from_accumulator(
@@ -433,7 +398,7 @@ def observed_info_from_accumulator(
     pairs = acc.pair_sums.sum(axis=0)
     covariance = acc.covariances.sum(axis=0) + (pairs + pairs.T)
     values = _rescale_info(covariance, acc.horizon, tau, sigma)
-    return InfoEstimate(values=values, tau=tau, n=acc.n_particles, method="smc-fixed-lag")
+    return InfoEstimate(values)
 
 
 def bootstrap_loglik(

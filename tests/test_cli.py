@@ -270,3 +270,87 @@ def test_other_sweeps_run(tmp_path, command):
     out = tmp_path / "g.csv"
     assert main([command, "--config", config, "--out", str(out)]) == EXIT_OK
     assert len(out.read_text().splitlines()) == 1 + 4  # 2 grid points x 2 reps
+
+
+IS_POINT = IS_SWEEP.replace("tau = 0.2, 0.1", "tau = 0.1")
+QUAD_POINT = IS_POINT.replace("method = is-score", "method = quad-oim")
+FD_SMC_POINT = SMC_POINT.replace(
+    "method = smc-score", "method = fd-score\nloglik_source = smc\nfd_particles = 50"
+)
+
+
+@pytest.mark.parametrize(
+    "base, old, new, key",
+    [
+        (SMC_POINT, "kernel_sigmas = 1.0", "kernel_sigmas = 1.0\ness_threshold = 1.5",
+         "estimator.ess_threshold"),
+        (SMC_POINT, "kernel_sigmas = 1.0", "kernel_sigmas = 1.0\nresampling = bogus",
+         "estimator.resampling"),
+        (IS_POINT, "tau = 0.1", "tau = 0", "grid.tau"),
+        (QUAD_POINT, "tau = 0.1", "tau = 0", "grid.tau"),
+        (SMC_POINT, "tau = 0.1", "tau = 0", "grid.tau"),
+        (FD_SMC_POINT, "fd_particles = 50", "fd_particles = 1", "estimator.fd_particles"),
+        (SMC_POINT, "tau = 0.1", "tau_rule = n^(-1/0)", "grid.tau_rule"),
+    ],
+    ids=[
+        "ess-threshold-above-one",
+        "resampling-bogus",
+        "is-tau-zero",
+        "quad-tau-zero",
+        "smc-tau-zero",
+        "fd-smc-one-particle",
+        "tau-rule-zero-denominator",
+    ],
+)
+def test_setting_the_library_rejects_is_a_config_error(tmp_path, capsys, base, old, new, key):
+    assert old in base
+    config = write(tmp_path, base.replace(old, new), "bad.ini")
+    out = tmp_path / "bad.csv"
+    assert main(["estimate", "--config", config, "--out", str(out)]) == EXIT_CONFIG
+    assert f"(key: {key})" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fd_ignores_tau_zero(tmp_path):
+    text = IS_POINT.replace("method = is-score", "method = fd-score").replace("tau = 0.1", "tau = 0")
+    config = write(tmp_path, text, "fd.ini")
+    assert main(["estimate", "--config", config, "--out", str(tmp_path / "fd.csv")]) == EXIT_OK
+
+
+def test_compare_smc_n_below_two_names_its_key(tmp_path, capsys):
+    config = write(tmp_path, SMC_POINT + "\n[compare]\nsmc_n = 1\n", "cmp.ini")
+    out = tmp_path / "cmp.csv"
+    assert main(["compare-fd", "--config", config, "--out", str(out)]) == EXIT_CONFIG
+    assert "(key: compare.smc_n)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("theta = 0.4", "theta = 0.4x", "estimator.theta"),
+        ("kernel_sigmas = 1.0", "kernel_sigmas = one", "estimator.kernel_sigmas"),
+        ("kernel_sigmas = 1.0", "kernel_sigmas = 1.0\ness_threshold = abc",
+         "estimator.ess_threshold"),
+        ("kernel_sigmas = 1.0", "kernel_sigmas = 1.0\nfd_particles = x", "estimator.fd_particles"),
+        ("tau = 0.1", "tau = 0.1, x", "grid.tau"),
+        ("n = 200", "n = 2e2", "grid.n"),
+        ("delta = 2", "delta = two", "grid.delta"),
+        ("delta = 2", "delta = 2\nh = x", "grid.h"),
+        ("replications = 2", "replications = x", "run.replications"),
+        ("seed = 5", "seed = 1.5", "run.seed"),
+        ("seed = 5", "seed = 5\n\n[compare]\nsmc_n = many", "compare.smc_n"),
+        ("theta_true = 0.5", "theta_true = 0.5x", "model.theta_true"),
+    ],
+    ids=[
+        "theta", "kernel-sigmas", "ess-threshold", "fd-particles", "tau", "n", "delta", "h",
+        "replications", "seed", "smc-n", "theta-true",
+    ],
+)
+def test_malformed_value_names_its_key(tmp_path, capsys, old, new, key):
+    assert SMC_POINT.count(old) == 1
+    config = write(tmp_path, SMC_POINT.replace(old, new), "bad.ini")
+    out = tmp_path / "bad.csv"
+    assert main(["estimate", "--config", config, "--out", str(out)]) == EXIT_CONFIG
+    assert f"(key: {key})" in capsys.readouterr().err
+    assert not out.exists()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import dfscore as dfs
 from dfscore import kernels
-from dfscore.general import DegeneratePosteriorError, FDConfig, GeneralModel, GridSpec
+from dfscore.general import DegeneratePosteriorError, FDConfig, GeneralModel
 from dfscore.models import (
     conjugate_posterior_moments,
     gaussian_location_model,
@@ -246,7 +246,7 @@ def test_fd_uses_independent_streams_per_node():
 
 def test_fd_propagates_nonfinite_evaluations():
     with pytest.raises(ValueError):
-        dfs.fd_score(lambda t, r: float("nan"), THETA, FDConfig(h=0.1))
+        dfs.fd_score(lambda t, r: float("nan"), THETA, FDConfig(h=0.1, base_seed=0))
 
 
 def _node_rng(config, k):
@@ -349,9 +349,7 @@ def test_quadrature_poisson_score():
 def test_quadrature_2d_and_dim_guard():
     k2 = dfs.make_gaussian_kernel([1.0, 1.0])
     model = gaussian_location_model(dim=2)
-    mom = dfs.posterior_moments_quadrature(
-        model, np.array([0.5, -0.2]), 0.1, k2, GridSpec(points_per_axis=2001)
-    )
+    mom = dfs.posterior_moments_quadrature(model, np.array([0.5, -0.2]), 0.1, k2)
     exact = conjugate_posterior_moments(np.array([0.5, -0.2]), 0.1, k2)
     np.testing.assert_allclose(mom.mean, exact.mean, atol=1e-8)
     np.testing.assert_allclose(mom.covariance, exact.covariance, atol=1e-8)
@@ -363,20 +361,13 @@ def test_quadrature_2d_and_dim_guard():
         )
 
 
-def test_grid_spec_floors():
-    with pytest.raises(ValueError):
-        GridSpec(points_per_axis=500)
-    with pytest.raises(ValueError):
-        GridSpec(half_width_sds=4.0)
-
-
-def _point_array_quadrature(model, theta, tau, kernel, grid=GridSpec()):
-    # reference: every grid node as a row of an (m^d, d) point array, one
-    # likelihood call and one weighted_mean_cov over all nodes
-    m = grid.points_per_axis
+def _point_array_quadrature(model, theta, tau, kernel):
+    # reference: every node of the 2001-point, +-8 prior SD grid as a row of
+    # an (m^d, d) point array, one likelihood call and one weighted_mean_cov
+    m = 2001
     axes, log_trap = [], []
     for i in range(model.dim):
-        half = grid.half_width_sds * tau * kernel.sigmas[i]
+        half = 8.0 * tau * kernel.sigmas[i]
         axes.append(np.linspace(theta[i] - half, theta[i] + half, m))
         coeff = np.full(m, axes[i][1] - axes[i][0])
         coeff[0] *= 0.5
@@ -439,7 +430,7 @@ def test_quadrature_streams_grid_in_row_blocks():
     kernel = dfs.make_gaussian_kernel([1.0, 2.0])
     dfs.posterior_moments_quadrature(GeneralModel(dim=2, log_likelihood=log_likelihood),
                                      theta, 0.1, kernel)
-    m = GridSpec().points_per_axis
+    m = 2001
     a0 = np.linspace(0.5 - 0.8, 0.5 + 0.8, m)
     a1 = np.linspace(-0.2 - 1.6, -0.2 + 1.6, m)
     g0, g1 = np.meshgrid(a0, a1, indexing="ij")

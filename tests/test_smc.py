@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -340,18 +341,14 @@ def test_accumulator_completeness_and_horizons(horizon, lag):
     ssm = spec.state_space()
     theta = np.array([0.4])
     _, ys = dfs.simulate(ssm, theta, horizon, np.random.default_rng(5))
-    cfg = ExtendedFilterConfig(
-        theta=theta, tau=0.1, kernel=K1, lag=lag, n_particles=64, pairwise=True
-    )
+    cfg = ExtendedFilterConfig(theta=theta, tau=0.1, kernel=K1, lag=lag, n_particles=64)
     acc = dfs.run_extended_bootstrap(ssm, ys, cfg, rng=np.random.default_rng(6))
     assert acc.is_complete()
-    expected_pairs = sum(min(t, lag) for t in range(horizon))
-    assert len(acc.crosscovs) == expected_pairs
+    assert acc.pair_sums.shape == (horizon, 1, 1)
     for t in range(horizon):
         assert acc.readoff_horizon[t] == min(t + 1 + lag, horizon)
-    for (s, t), c in acc.crosscovs.items():
-        assert 1 <= t - s <= lag
-        assert c.shape == (1, 1)
+        # a pair sum is zero exactly when no earlier step lies within the lag
+        assert (acc.pair_sums[t, 0, 0] == 0.0) == (min(t, lag) == 0)
 
 
 def lgssm2_setup(horizon=12):
@@ -407,38 +404,18 @@ def test_pair_sums_match_pairwise_crosscovs(lag, resampling, ess_threshold):
     cfg = ExtendedFilterConfig(
         theta=np.array([0.6, -0.1]), tau=0.05, kernel=dfs.make_gaussian_kernel([1.2, 1.2]),
         lag=lag, n_particles=200, resampling=resampling, ess_threshold=ess_threshold,
-        pairwise=True,
     )
     acc = dfs.run_extended_bootstrap(ssm, ys, cfg, rng=np.random.default_rng(4))
     ref_means, ref_covs, ref_pairs = reference_filter(ssm, ys, cfg, np.random.default_rng(4))
     assert acc.is_complete()
-    assert sorted(acc.crosscovs) == sorted(ref_pairs)
+    assert len(ref_pairs) == sum(min(t, lag) for t in range(len(ys)))
     for t in range(len(ys)):
-        pairs = [acc.crosscovs[(s, t)] for s in range(max(0, t - lag), t)]
+        pairs = [ref_pairs[(s, t)] for s in range(max(0, t - lag), t)]
         scale = sum(np.abs(c).sum() for c in pairs)
-        assert np.abs(acc.pair_sums[t] - sum(pairs, np.zeros((2, 2)))).max() <= 1e-12 * scale
-        ref_sum = sum((ref_pairs[(s, t)] for s in range(max(0, t - lag), t)), np.zeros((2, 2)))
+        ref_sum = sum(pairs, np.zeros((2, 2)))
         assert np.abs(acc.pair_sums[t] - ref_sum).max() <= 1e-12 * scale
     np.testing.assert_allclose(acc.means, ref_means, rtol=1e-12)
     np.testing.assert_allclose(acc.covariances, ref_covs, rtol=1e-12, atol=0.0)
-
-
-@pytest.mark.parametrize("lag", [0, 3, 11])
-def test_pairwise_flag_leaves_estimates_bitwise_unchanged(lag):
-    ssm, ys = lgssm2_setup()
-    cfg = ExtendedFilterConfig(
-        theta=np.array([0.6, -0.1]), tau=0.05, kernel=dfs.make_gaussian_kernel([1.2, 1.2]),
-        lag=lag, n_particles=200, ess_threshold=0.5,
-    )
-    lean = dfs.run_extended_bootstrap(ssm, ys, cfg, rng=np.random.default_rng(3))
-    full = dfs.run_extended_bootstrap(
-        ssm, ys, dataclasses.replace(cfg, pairwise=True), rng=np.random.default_rng(3)
-    )
-    for name in ("means", "covariances", "pair_sums", "readoff_horizon", "ess_trace"):
-        assert np.array_equal(getattr(lean, name), getattr(full, name)), name
-    assert lean.loglik_estimate == full.loglik_estimate
-    assert lean.crosscovs is None
-    assert len(full.crosscovs) == sum(min(t, lag) for t in range(len(ys)))
 
 
 def float_ring_filter(ssm, ys, cfg, rng):
@@ -459,7 +436,6 @@ def float_ring_filter(ssm, ys, cfg, rng):
     covs = np.empty((horizon, d, d))
     pair_sums = np.empty((horizon, d, d))
     ess_trace = np.empty(horizon)
-    crosscovs = {}
     loglik, log_prev, x = 0.0, None, None
     for u in range(horizon):
         thetas = cfg.kernel.sample(cfg.theta, cfg.tau, rng, size=n)
@@ -486,9 +462,6 @@ def float_ring_filter(ssm, ys, cfg, rng):
             if t > first:
                 window = p_t - prefix[:, first % slots]
                 pair_sums[t] = kernels.weighted_crosscov(window, draw, w)
-            for s in range(first, t):
-                draw_s = prefix[:, (s + 1) % slots] - prefix[:, s % slots]
-                crosscovs[(s, t)] = kernels.weighted_crosscov(draw_s, draw, w)
         if cfg.ess_threshold is None or ess_trace[u] < cfg.ess_threshold * n:
             ancestors = resample(w, cfg.resampling, rng)
             x, prefix = x[ancestors], prefix[ancestors]
@@ -497,30 +470,22 @@ def float_ring_filter(ssm, ys, cfg, rng):
             log_prev = logw - lse
     return dict(
         means=means, covariances=covs, pair_sums=pair_sums, ess_trace=ess_trace,
-        loglik_estimate=loglik, crosscovs=crosscovs,
+        loglik_estimate=loglik,
     )
 
 
-def assert_matches_float_ring(horizon, lag, resampling, ess_threshold, pairwise=True, seed=6,
-                              n_particles=200):
+def assert_matches_float_ring(horizon, lag, resampling, ess_threshold, seed=6, n_particles=200):
     """Assert the filter equals ``float_ring_filter`` bit for bit; return its accumulator."""
     ssm, ys = lgssm2_setup(horizon)
     cfg = ExtendedFilterConfig(
         theta=np.array([0.6, -0.1]), tau=0.05, kernel=dfs.make_gaussian_kernel([1.2, 1.2]),
         lag=lag, n_particles=n_particles, resampling=resampling, ess_threshold=ess_threshold,
-        pairwise=pairwise,
     )
     acc = dfs.run_extended_bootstrap(ssm, ys, cfg, rng=np.random.default_rng(seed))
     ref = float_ring_filter(ssm, ys, cfg, np.random.default_rng(seed))
     for name in ("means", "covariances", "pair_sums", "ess_trace"):
         assert np.array_equal(getattr(acc, name), ref[name]), name
     assert acc.loglik_estimate == ref["loglik_estimate"]
-    if not pairwise:
-        assert acc.crosscovs is None
-        return acc
-    assert sorted(acc.crosscovs) == sorted(ref["crosscovs"])
-    for key, c in acc.crosscovs.items():
-        assert np.array_equal(c, ref["crosscovs"][key]), key
     return acc
 
 
@@ -543,8 +508,35 @@ def test_lineage_table_matches_float_ring_when_no_resampling_spans_a_rebase():
     # lag 1 rebases every 2 steps, so 3 steps in a row without resampling
     # hold a whole rebase period with an identity cursor
     acc = assert_matches_float_ring(40, 1, "multinomial", 0.5)
-    kept = "".join("k" if e >= 0.5 * acc.n_particles else "r" for e in acc.ess_trace)
+    kept = "".join("k" if e >= 0.5 * 200 else "r" for e in acc.ess_trace)
     assert "kkk" in kept, kept
+
+
+def permuting(resample_fn, seed, unsorted):
+    """``resample_fn`` with its ancestors shuffled by a generator of its own;
+    appends to ``unsorted`` whether each call returned them out of order."""
+    perm_rng = np.random.default_rng(seed)
+
+    def wrapper(weights, scheme, rng):
+        ancestors = resample_fn(weights, scheme, rng)
+        ancestors = ancestors[perm_rng.permutation(ancestors.size)]
+        unsorted.append(bool(np.any(np.diff(ancestors) < 0)))
+        return ancestors
+
+    return wrapper
+
+
+@pytest.mark.parametrize("ess_threshold", [None, 0.5])
+@pytest.mark.parametrize("resampling", ["multinomial", "systematic"])
+@pytest.mark.parametrize("lag", [1, 3, 13, 39])
+def test_lineage_is_exact_for_unsorted_ancestors(monkeypatch, lag, resampling, ess_threshold):
+    # resample returns nondecreasing ancestors; the lineage must not rely on
+    # that, so both filters see the same shuffled ancestors at every step
+    unsorted = []
+    monkeypatch.setattr(dfs.smc, "resample", permuting(resample, 23, unsorted))
+    monkeypatch.setattr(sys.modules[__name__], "resample", permuting(resample, 23, []))
+    assert_matches_float_ring(40, lag, resampling, ess_threshold)
+    assert any(unsorted)
 
 
 @settings(max_examples=100)
@@ -553,15 +545,12 @@ def test_lineage_table_matches_float_ring_when_no_resampling_spans_a_rebase():
     data=st.data(),
     resampling=st.sampled_from(["multinomial", "systematic"]),
     ess_threshold=st.sampled_from([None, 0.5, 0.9]),
-    pairwise=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_lineage_table_matches_float_ring_property(
-    horizon, data, resampling, ess_threshold, pairwise, seed
-):
+def test_lineage_table_matches_float_ring_property(horizon, data, resampling, ess_threshold, seed):
     lag = data.draw(st.integers(0, horizon + 5), label="lag")
     assert_matches_float_ring(
-        horizon, lag, resampling, ess_threshold, pairwise=pairwise, seed=seed, n_particles=50
+        horizon, lag, resampling, ess_threshold, seed=seed, n_particles=50
     )
 
 
@@ -765,25 +754,17 @@ def make_accumulator(rng, horizon=6, lag=2, d=2):
     for t in range(horizon):
         a = rng.normal(size=(d, d))
         covs[t] = a @ a.T
-    crosscovs = {
-        (s, t): rng.normal(size=(d, d))
-        for t in range(horizon)
-        for s in range(max(0, t - lag), t)
-    }
     pair_sums = np.zeros((horizon, d, d))
-    for (s, t), c in crosscovs.items():
-        pair_sums[t] += c
+    for t in range(horizon):
+        for _ in range(max(0, t - lag), t):
+            pair_sums[t] += rng.normal(size=(d, d))
     return dfs.FixedLagAccumulator(
         means=means,
         covariances=covs,
         pair_sums=pair_sums,
-        crosscovs=crosscovs,
         loglik_estimate=-1.0,
         readoff_horizon=np.minimum(np.arange(1, horizon + 1) + lag, horizon),
         ess_trace=np.full(horizon, 10.0),
-        tau=0.1,
-        lag=lag,
-        n_particles=10,
     )
 
 
@@ -801,8 +782,6 @@ def test_info_zero_when_variances_match_prior():
     acc = make_accumulator(rng)
     kern = dfs.make_gaussian_kernel([1.0, 0.5])
     acc.covariances[:] = 0.1**2 * kern.covariance()
-    for key in acc.crosscovs:
-        acc.crosscovs[key] = np.zeros((2, 2))
     acc.pair_sums[:] = 0.0
     info = dfs.observed_info_from_accumulator(acc, 0.1, kern)
     np.testing.assert_allclose(info.values, 0.0, atol=1e-10)
@@ -871,29 +850,13 @@ def test_accumulator_csv_dumps(tmp_path):
     ssm = spec.state_space()
     theta = np.array([0.5])
     _, ys = dfs.simulate(ssm, theta, 4, np.random.default_rng(0))
-    cfg = ExtendedFilterConfig(
-        theta=theta, tau=0.1, kernel=K1, lag=1, n_particles=50, pairwise=True
-    )
+    cfg = ExtendedFilterConfig(theta=theta, tau=0.1, kernel=K1, lag=1, n_particles=50)
     acc = dfs.run_extended_bootstrap(ssm, ys, cfg, rng=np.random.default_rng(1))
     moments = tmp_path / "moments.csv"
-    cross = tmp_path / "cross.csv"
     acc.save_moments_csv(moments)
-    acc.save_crosscov_csv(cross)
     lines = moments.read_text().splitlines()
     assert lines[0] == "t,component,mean,var_diag"
     assert len(lines) == 1 + 4  # one row per (t, component), d=1
-    clines = cross.read_text().splitlines()
-    assert clines[0] == "s,t,i,j,crosscov"
-    assert len(clines) == 1 + 3  # pairs (1,2),(2,3),(3,4)
-    s, t, i, j, value = clines[1].split(",")
-    assert (s, t, i, j) == ("1", "2", "1", "1")
-    float(value)
-    lean = dfs.run_extended_bootstrap(
-        ssm, ys, dataclasses.replace(cfg, pairwise=False), rng=np.random.default_rng(1)
-    )
-    assert lean.crosscovs is None
-    with pytest.raises(ValueError, match="pairwise=True"):
-        lean.save_crosscov_csv(tmp_path / "lean.csv")
 
 
 def test_filter_config_validation():
