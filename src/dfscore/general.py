@@ -50,6 +50,10 @@ class GeneralModel:
     the transposed view of a component-major ``(dim, n)`` buffer: index it
     by column (``thetas[:, i]``), do not assume C order, and do not write
     into it.
+
+    Importance sampling and quadrature call it on blocks of at most 2^15
+    rows, so a row's value must not depend on the other rows in its batch.
+    Importance sampling makes all its prior draws before the first call.
     """
 
     dim: int
@@ -105,21 +109,27 @@ def posterior_moments_is(
     Draws ``n`` parameters from the perturbation prior centered at ``theta``,
     weights them by likelihood with a max-shifted exponentiation, and returns
     the self-normalized mean, plug-in covariance and effective sample size.
+    Blocks of ``kernels._BLOCK_ROWS`` draws all precede the first likelihood call.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     if model.dim != kernel.dim:
         raise ValueError("model and kernel dimensions differ")
-    thetas = kernel.sample(theta, tau, rng, size=n)
-    logl = _evaluate_loglik(model, thetas)
+    rows = kernels._BLOCK_ROWS
+    blocks = [slice(s, min(s + rows, n)) for s in range(0, n, rows)]
+    thetas = np.empty((model.dim, n)).T  # component-major, as ``sample`` lays it out
+    for b in blocks:
+        thetas[b] = kernel.sample(theta, tau, rng, size=b.stop - b.start)
+    logl = np.empty(n)
+    for b in blocks:
+        logl[b] = _evaluate_loglik(model, thetas[b])
     if np.max(logl) == -np.inf:
         raise DegeneratePosteriorError(
             "all importance weights are zero; tau is likely mis-scaled"
         )
     w, _ = kernels.normalize_log_weights(logl)
     mean, cov = kernels.weighted_mean_cov(thetas, w)
-    ess = 1.0 / float(w @ w)
-    ess = min(max(ess, 1.0), float(n))
+    ess = min(max(1.0 / float(w @ w), 1.0), float(n))
     return PosteriorMoments(mean=mean, covariance=cov, ess=ess, n=n)
 
 
@@ -128,23 +138,19 @@ def posterior_moments_is(
 _QUAD_POINTS = 2001
 _QUAD_HALF_WIDTH_SDS = 8.0
 
-# Nodes per likelihood call when the 2-D grid is streamed in row blocks: big
-# enough to amortize the call, small next to the (m, m) log-posterior matrix.
-_QUAD_BLOCK_NODES = 100_000
-
 
 def _grid_loglik(model: GeneralModel, a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
     """Log-likelihood on the ``ij``-ordered tensor grid ``a0 x a1``.
 
     Returns the ``(a0.size, a1.size)`` matrix whose ``[i, j]`` entry is the
     log-likelihood at ``(a0[i], a1[j])``.  The grid goes to ``log_likelihood``
-    in blocks of whole rows, about ``_QUAD_BLOCK_NODES`` nodes each, and every
-    block passes the same checks as a single call would.  A block's nodes
-    are filled component-major, as a ``(2, nodes)`` buffer, and passed as
-    its ``(nodes, 2)`` transpose.
+    in blocks of as many whole rows as fit in ``kernels._BLOCK_ROWS`` nodes
+    (16 rows of the 2001-point grid), and every block passes the same checks
+    as a single call would.  A block's nodes are filled component-major, as
+    a ``(2, nodes)`` buffer, and passed as its ``(nodes, 2)`` transpose.
     """
     m0, m1 = a0.size, a1.size
-    rows = max(1, _QUAD_BLOCK_NODES // m1)
+    rows = max(1, kernels._BLOCK_ROWS // m1)
     out = np.empty((m0, m1))
     for start in range(0, m0, rows):
         block = a0[start : start + rows]
@@ -171,14 +177,13 @@ def posterior_moments_quadrature(
 
     The prior density and the trapezoid coefficients factor over the axes,
     so their log-weights are one ``(m,)`` vector per axis and the grid is
-    never materialized as a point array.  In 2-D the likelihood is
-    evaluated in blocks of about 10^5 grid nodes (whole rows of the
-    ``ij``-ordered grid), so ``log_likelihood`` is called several times per
-    estimate; each block goes through the same shape, NaN and ``+inf``
-    checks.  The blocks fill one ``(m, m)`` log-posterior matrix ``L``; after
-    a max-shifted exponentiation ``W = exp(L - max L)``, the means and
-    variances come from the row and column sums of ``W`` and the cross term
-    is ``d0' W d1 / sum(W)`` with ``d_k`` the axis nodes minus their mean.
+    never materialized as a point array.  In 2-D ``_grid_loglik`` calls
+    ``log_likelihood`` 126 times per estimate, on blocks of 16 whole rows
+    (at most 2^15 nodes), each checked like a single call.  The blocks fill
+    one ``(m, m)`` log-posterior matrix ``L``; after a max-shifted
+    exponentiation ``W = exp(L - max L)``, the means and variances come from
+    the row and column sums of ``W`` and the cross term is
+    ``d0' W d1 / sum(W)`` with ``d_k`` the axis nodes minus their mean.
     The 1-D grid is evaluated in a single call.
     """
     if model.dim > 2:

@@ -426,8 +426,10 @@ def build_model_bundle(config: ExperimentConfig) -> _ModelBundle:
             score = (np.full(dim, y) - theta) / obs_sd**2
             info = np.eye(dim) / obs_sd**2
         else:
-            y = int(_number(params, "model", "y", 1.0))
-            model = poisson_loglink_model(y)
+            y = _number(params, "model", "y", 1.0)
+            if not (y >= 0.0 and y.is_integer()):
+                raise ConfigError("y must be a non-negative integer count", key="model.y")
+            model = poisson_loglink_model(int(y))
             _check_theta(theta, 1)
             with np.errstate(over="ignore"):
                 rate = np.exp(theta[0])

@@ -27,6 +27,8 @@ __all__ = [
     "kalman_loglik_jet",
 ]
 
+_BLOCK_ROWS = 1 << 15  # rows per block of every streamed pass, sized for L2
+
 
 def normalize_log_weights(logw):
     """Self-normalized weights from log-weights, plus their log-sum-exp.
@@ -36,29 +38,31 @@ def normalize_log_weights(logw):
     log-weights do not overflow.  Callers must reject all ``-inf`` input.
     """
     m = np.max(logw)
-    shifted = np.exp(logw - m)
-    s = shifted.sum()
-    return shifted / s, m + np.log(s)
+    w = np.subtract(logw, m)
+    np.exp(w, out=w)
+    s = w.sum()
+    w /= s
+    return w, m + np.log(s)
 
 
 def weighted_mean_cov(x, w):
     """Weighted mean and plug-in covariance of rows of ``x``.
 
     ``x`` is ``(n, d)``, ``w`` a normalized non-negative weight vector.
-    The centred particles are scaled by ``sqrt(w)`` in place, so the
-    covariance is one Gram product with no second ``(d, n)`` temporary.  It
-    is mirrored from its upper triangle so the output is symmetric
-    bit-for-bit.
+    The mean is one product over all rows.  The Gram product is summed over
+    blocks of ``_BLOCK_ROWS`` rows, each centred into a block-sized buffer
+    and scaled by ``sqrt(w)`` in place.  The covariance is mirrored from its
+    upper triangle so the output is symmetric bit-for-bit.
     """
     cols = np.ascontiguousarray(x.T)
     mean = cols @ w
-    dx = cols - mean[:, None]
-    dx *= np.sqrt(w)
-    cov = dx @ dx.T
-    d = cov.shape[0]
-    for a in range(d):
-        for b in range(a + 1, d):
-            cov[b, a] = cov[a, b]
+    for start in range(0, cols.shape[1], _BLOCK_ROWS):
+        dx = cols[:, start : start + _BLOCK_ROWS] - mean[:, None]
+        dx *= np.sqrt(w[start : start + _BLOCK_ROWS])
+        gram = dx @ dx.T
+        cov = gram if start == 0 else cov + gram
+    for a in range(1, mean.size):
+        cov[a, :a] = cov[:a, a]
     return mean, cov
 
 

@@ -40,19 +40,9 @@ class PerturbationKernel:
     def dim(self) -> int:
         return self.sigmas.shape[0]
 
-    def covariance(self) -> np.ndarray:
-        """Diagonal covariance matrix (exact, no sampling)."""
-        return np.diag(self.sigmas**2)
-
     def variances(self) -> np.ndarray:
         """Diagonal of the covariance matrix."""
         return self.sigmas**2
-
-    def fourth_moment(self, i: int) -> float:
-        """Fourth marginal moment of coordinate ``i`` (0-based): 3 * sigma_i**4."""
-        if not 0 <= i < self.dim:
-            raise IndexError(f"coordinate index {i} out of range for dim {self.dim}")
-        return float(3.0 * self.sigmas[i] ** 4)
 
     def sample(self, center, tau, rng=None, size=None, z=None):
         """Draw from the prior centered at ``center`` with scale ``tau``.
@@ -74,16 +64,15 @@ class PerturbationKernel:
             )
         if tau < 0.0:
             raise ValueError("tau must be >= 0")
+        shape = (self.dim,) if size is None else (size, self.dim)
         if z is None:
             if rng is None:
                 raise ValueError("either rng or z must be supplied")
-            shape = (self.dim,) if size is None else (size, self.dim)
             z = rng.standard_normal(shape)
         else:
             z = np.asarray(z, dtype=np.float64)
-            expected = (self.dim,) if size is None else (size, self.dim)
-            if z.shape != expected:
-                raise ValueError(f"z has shape {z.shape}, expected {expected}")
+            if z.shape != shape:
+                raise ValueError(f"z has shape {z.shape}, expected {shape}")
         # the (size, dim) transpose of a C-contiguous (dim, size) copy of z
         out = z.T.copy().T
         out *= self.sigmas

@@ -194,6 +194,19 @@ def test_bad_lgssm_model_value_is_a_config_error(tmp_path, capsys, old, new, key
     assert not out.exists()
 
 
+POISSON_POINT = IS_SWEEP.replace("kind = conjugate-gaussian\ndim = 1", "kind = poisson\ny = 3")
+
+
+@pytest.mark.parametrize("y", ["2.7", "-1"], ids=["fractional", "negative"])
+def test_poisson_y_that_is_not_a_count_is_a_config_error(tmp_path, capsys, y):
+    # a fractional count used to be truncated, a negative one to exit 1
+    config = write(tmp_path, POISSON_POINT.replace("y = 3", f"y = {y}"), "bad.ini")
+    out = tmp_path / "bad.csv"
+    assert main(["oracle", "--config", config, "--out", str(out)]) == EXIT_CONFIG
+    assert "(key: model.y)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "rows",
     ["t,y\n", None, "time,y\n1,0.3\n2,0.1\n", "t,y\n1,0.3\n2,nan\n3,0.1\n"],

@@ -41,6 +41,62 @@ def test_flat_likelihood_gives_uniform_weights_exactly():
     assert mom.ess == pytest.approx(n, rel=1e-12)
 
 
+_BLOCK = kernels._BLOCK_ROWS
+
+
+def noisy_location_model(dim, rng):
+    """Gaussian location log-likelihood plus noise drawn from ``rng``, so a
+    likelihood call moves the same generator as the prior draws."""
+    exact = gaussian_location_model(y=0.3, dim=dim)
+    return GeneralModel(
+        dim=dim,
+        log_likelihood=lambda t: exact.log_likelihood(t) + 0.1 * rng.standard_normal(t.shape[0]),
+    )
+
+
+@settings(max_examples=15)
+@given(
+    n=st.sampled_from([2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7, 3 * _BLOCK]),
+    d=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_is_matches_one_whole_array_pass(n, d, seed):
+    # the reference draws all n rows at once, makes one likelihood call on
+    # them and weights them in one pass; the blocked draws and calls must
+    # reproduce it bit for bit at every n, since both end in the same moment
+    # kernel (checked against the whole-array formula in test_kernels), and
+    # leave the generator in the same state
+    theta = np.linspace(-0.5, 0.5, d)
+    kernel = dfs.make_gaussian_kernel(np.linspace(1.0, 2.5, d))
+    rng = np.random.default_rng(seed)
+    mom = dfs.posterior_moments_is(noisy_location_model(d, rng), theta, 0.1, kernel, n, rng)
+
+    ref_rng = np.random.default_rng(seed)
+    thetas = kernel.sample(theta, 0.1, ref_rng, size=n)
+    logl = noisy_location_model(d, ref_rng).log_likelihood(thetas)
+    w, _ = kernels.normalize_log_weights(logl)
+    mean, cov = kernels.weighted_mean_cov(thetas, w)
+    assert np.array_equal(mom.mean, mean)
+    assert np.array_equal(mom.covariance, cov)
+    assert mom.ess == min(max(1.0 / float(w @ w), 1.0), float(n))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_is_temporaries_are_block_sized():
+    # past the block size the peak is the (d, n) draws, the (n,) log-likelihood
+    # and the (n,) weights, plus block-sized temporaries
+    n, d = 16 * _BLOCK, 2
+    model = gaussian_location_model(dim=d)
+    kernel = dfs.make_gaussian_kernel([1.0, 2.5])
+    tracemalloc.start()
+    try:
+        dfs.posterior_moments_is(model, np.zeros(d), 0.1, kernel, n, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (d + 2) * 8 * n + 8 * d * 8 * _BLOCK
+
+
 def test_is_moments_match_conjugate_closed_form():
     # posterior mean 1 - 0.01/1.01, variance 0.01/1.01 (theta=1, tau=0.1)
     n = 10**5
@@ -105,7 +161,7 @@ def test_score_conjugate_closed_form_and_tau_shrink():
 
 def test_info_zero_when_covariance_equals_prior():
     tau = 0.2
-    mom = dfs.PosteriorMoments(mean=THETA, covariance=tau**2 * K1.covariance())
+    mom = dfs.PosteriorMoments(mean=THETA, covariance=tau**2 * np.diag(K1.variances()))
     info = dfs.observed_info_from_moments(mom, tau, K1)
     assert np.all(info.values == 0.0)
 

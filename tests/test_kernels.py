@@ -111,8 +111,14 @@ def _particles(seed, n, d):
     return xt, xt[::-1] * 0.5 + 1.0, w / w.sum()
 
 
+# particle counts past the block size, where weighted_mean_cov sums its Gram
+# product over blocks
+_ABOVE_BLOCK = (kernels._BLOCK_ROWS + 1, 2 * kernels._BLOCK_ROWS + 7, 3 * kernels._BLOCK_ROWS)
+
 _PARTICLE_CASES = dict(
-    seed=st.integers(0, 2**32 - 1), n=st.integers(2, 300), d=st.integers(1, 4)
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 300) | st.sampled_from(_ABOVE_BLOCK),
+    d=st.integers(1, 4),
 )
 
 
@@ -152,3 +158,16 @@ def test_moment_kernels_are_invariant_to_particle_order(seed, n, d):
     scales = (np.abs(xt).max(), np.abs(straight[1]).max(), np.abs(straight[2]).max())
     for a, b, scale in zip(straight, permuted, scales):
         assert np.abs(a - b).max() <= 1e-12 * scale
+
+
+@settings(max_examples=15)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from(_ABOVE_BLOCK), d=st.integers(1, 4))
+def test_blocked_mean_cov_matches_the_whole_array_formula(seed, n, d):
+    xt, _, w = _particles(seed, n, d)
+    mean, cov = kernels.weighted_mean_cov(xt.T, w)
+    assert np.array_equal(cov, cov.T)
+    # one centring and one Gram product over all n rows
+    ref_mean = xt @ w
+    dx = (xt - ref_mean[:, None]) * np.sqrt(w)
+    assert np.array_equal(mean, ref_mean)
+    np.testing.assert_allclose(cov, dx @ dx.T, rtol=1e-12)

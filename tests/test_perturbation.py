@@ -18,26 +18,6 @@ def test_construction_rejects_bad_sigmas(bad):
         make_gaussian_kernel(bad)
 
 
-def test_covariance_and_fourth_moment_trivia():
-    k = make_gaussian_kernel([1.0])
-    np.testing.assert_array_equal(k.covariance(), [[1.0]])
-    assert k.fourth_moment(0) == 3.0
-
-    k2 = make_gaussian_kernel([2.0])
-    assert k2.fourth_moment(0) == 48.0  # 3 * 2**4
-
-    k3 = make_gaussian_kernel([1.0, 0.5])
-    np.testing.assert_array_equal(k3.covariance(), np.diag([1.0, 0.25]))
-    with pytest.raises(IndexError):
-        k3.fourth_moment(2)
-
-
-def test_mesokurtosis_identity():
-    k = make_gaussian_kernel([0.3, 1.7, 4.0])
-    for i in range(3):
-        assert k.fourth_moment(i) == 3.0 * k.covariance()[i, i] ** 2
-
-
 def test_tau_zero_returns_center():
     k = make_gaussian_kernel([1.0, 2.0])
     center = np.array([3.0, -1.0])

@@ -178,29 +178,32 @@ def test_flat_likelihood_means_are_plain_prior_averages():
 
 def test_single_step_filter_matches_is_moments_bitwise():
     # T=1, lag=0: with a shared stream the filter's read-off equals the
-    # importance-sampling moments on the integrated single-observation model
+    # importance-sampling moments on the integrated single-observation model,
+    # also past the block size, where IS draws and calls the likelihood in
+    # two blocks
     spec = lgssm_phi(sw=0.8)
     ssm = spec.state_space()
     y0 = 0.45
     theta = np.array([0.6])
-    tau, n = 0.1, 4096
+    tau = 0.1
 
-    cfg = ExtendedFilterConfig(theta=theta, tau=tau, kernel=K1, lag=0, n_particles=n)
-    acc = dfs.run_extended_bootstrap(ssm, np.array([y0]), cfg, rng=np.random.default_rng(77))
+    for n in (4096, kernels._BLOCK_ROWS + 3):
+        cfg = ExtendedFilterConfig(theta=theta, tau=tau, kernel=K1, lag=0, n_particles=n)
+        acc = dfs.run_extended_bootstrap(ssm, np.array([y0]), cfg, rng=np.random.default_rng(77))
 
-    rng_is = np.random.default_rng(77)
-    model = dfs.GeneralModel(
-        dim=1,
-        log_likelihood=lambda thetas: ssm.obs_logdensity(
-            y0, ssm.init_sampler(thetas, rng_is), thetas
-        ),
-    )
-    mom = dfs.posterior_moments_is(model, theta, tau, K1, n, rng_is)
-    assert np.array_equal(acc.means[0], mom.mean)
-    assert np.array_equal(acc.covariances[0], mom.covariance)
-    s_acc = dfs.score_from_accumulator(acc, theta, tau, K1)
-    s_mom = dfs.score_from_moments(mom, theta, tau, K1)
-    assert np.array_equal(s_acc.values, s_mom.values)
+        rng_is = np.random.default_rng(77)
+        model = dfs.GeneralModel(
+            dim=1,
+            log_likelihood=lambda thetas: ssm.obs_logdensity(
+                y0, ssm.init_sampler(thetas, rng_is), thetas
+            ),
+        )
+        mom = dfs.posterior_moments_is(model, theta, tau, K1, n, rng_is)
+        assert np.array_equal(acc.means[0], mom.mean)
+        assert np.array_equal(acc.covariances[0], mom.covariance)
+        s_acc = dfs.score_from_accumulator(acc, theta, tau, K1)
+        s_mom = dfs.score_from_moments(mom, theta, tau, K1)
+        assert np.array_equal(s_acc.values, s_mom.values)
 
 
 def exact_two_step_moments(spec, ys, theta, taueff, sw):
@@ -781,7 +784,7 @@ def test_info_zero_when_variances_match_prior():
     rng = np.random.default_rng(1)
     acc = make_accumulator(rng)
     kern = dfs.make_gaussian_kernel([1.0, 0.5])
-    acc.covariances[:] = 0.1**2 * kern.covariance()
+    acc.covariances[:] = 0.1**2 * np.diag(kern.variances())
     acc.pair_sums[:] = 0.0
     info = dfs.observed_info_from_accumulator(acc, 0.1, kern)
     np.testing.assert_allclose(info.values, 0.0, atol=1e-10)
