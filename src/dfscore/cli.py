@@ -57,38 +57,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_SWEEP_AXIS = {"sweep-tau": "tau", "sweep-n": "n", "sweep-lag": "delta"}
+
+
 def _check_grids(config, command) -> None:
-    if command == "estimate":
-        for name, grid in (
-            ("tau", config.taus),
-            ("n", config.ns),
-            ("delta", config.deltas),
-            ("h", config.hs),
-        ):
-            if config.tau_rule and name == "tau":
-                continue
-            if len(grid) != 1:
-                raise ConfigError(
-                    f"estimate needs singleton grids; grid.{name} has {len(grid)} points",
-                    key=f"grid.{name}",
-                )
-    sweep_axis = {
-        "sweep-tau": ("tau", config.taus),
-        "sweep-n": ("n", config.ns),
-        "sweep-lag": ("delta", config.deltas),
-    }.get(command)
-    if sweep_axis is not None:
-        name, grid = sweep_axis
-        if name == "tau" and config.tau_rule:
-            if len(config.ns) < 2:
-                raise ConfigError(
-                    "sweep-tau with tau_rule needs >= 2 n values", key="grid.n"
-                )
-            return
-        if len(grid) < 2:
-            raise ConfigError(
-                f"{command} needs >= 2 points in grid.{name}", key=f"grid.{name}"
-            )
+    """``estimate`` takes one point per grid, a sweep at least two on its
+    axis; under a tau_rule the tau axis is the n axis."""
+    axis = _SWEEP_AXIS.get(command)
+    if axis == "tau" and config.tau_rule:
+        axis = "n"
+    grids = {"tau": config.taus, "n": config.ns, "delta": config.deltas, "h": config.hs}
+    for name, grid in grids.items():
+        if command == "estimate" and len(grid) != 1:
+            raise ConfigError("estimate needs one point per grid", key="grid." + name)
+        if name == axis and len(grid) < 2:
+            raise ConfigError(f"{command} needs two or more points", key="grid." + name)
 
 
 def main(argv=None) -> int:

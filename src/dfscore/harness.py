@@ -1,7 +1,14 @@
 """Experiment harness: configs, seeded replication, sweeps, CSV reports.
 
 Configuration lives in flat INI files (``key = value`` under ``[model]``,
-``[estimator]``, ``[grid]``, ``[run]``, and optionally ``[compare]``).
+``[estimator]``, ``[grid]``, ``[run]``, and optionally ``[compare]``).  One
+table, ``_SCHEMA``, holds every key: the ``ExperimentConfig`` field it fills
+(``[model]`` values go to ``model_params``), its parser, its default, its
+check and the model kinds it applies to.  ``load_config`` only parses;
+``ExperimentConfig`` runs the checks however it is built, so a config made in
+code or by ``dataclasses.replace`` meets the same rules as a file.
+``build_model_bundle`` keeps the rules that span several ``[model]`` keys.
+
 Every replication draws its random stream from
 ``numpy.random.SeedSequence((base_seed, grid_index, rep_index))``, which
 mixes the three words through SeedSequence's collision-resistant hash, so
@@ -19,6 +26,7 @@ import configparser
 import csv
 import itertools
 import math
+import os
 import re
 import time
 import warnings
@@ -82,6 +90,11 @@ __all__ = [
 ]
 
 MODEL_KINDS = ("conjugate-gaussian", "poisson", "lgssm", "nonlinear-ar1")
+_GENERAL_KINDS = ("conjugate-gaussian", "poisson")
+_SSM_KINDS = ("lgssm", "nonlinear-ar1")
+METHODS = tuple(
+    f"{src}-{target}" for src in ("is", "quad", "fd", "smc") for target in ("score", "oim")
+) + ("oracle",)
 
 COMPARE_TABLE_FIELDS = (
     "method",
@@ -132,7 +145,8 @@ RUN_RECORD_FIELDS = tuple(field.name for field in fields(RunRecord))
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parsed experiment description; see README for the file schema."""
+    """An experiment description, checked against ``_SCHEMA`` however it is
+    built; README lists the keys and their rules."""
 
     model_kind: str
     model_params: dict
@@ -154,90 +168,38 @@ class ExperimentConfig:
     compare_smc_n: int = 5000
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ConfigError(f"unknown method {self.method!r}", key="estimator.method")
-        if self.replications < 1:
-            raise ConfigError("replications must be >= 1", key="run.replications")
-        for name, grid in (
-            ("grid.tau", self.taus),
-            ("grid.n", self.ns),
-            ("grid.delta", self.deltas),
-            ("grid.h", self.hs),
-        ):
-            if len(grid) == 0:
-                raise ConfigError(f"grid must be non-empty", key=name)
-        if any(t < 0 for t in self.taus):
-            raise ConfigError("tau values must be >= 0", key="grid.tau")
-        if any(n < 2 for n in self.ns):
-            raise ConfigError("n values must be >= 2", key="grid.n")
-        if any(d < 0 for d in self.deltas):
-            raise ConfigError("delta values must be >= 0", key="grid.delta")
-        if any(h <= 0 for h in self.hs):
-            raise ConfigError("h values must be > 0", key="grid.h")
-        if not all(0 < s < math.inf for s in self.kernel_sigmas):
-            raise ConfigError(
-                "kernel sigmas must be finite and > 0", key="estimator.kernel_sigmas"
-            )
-        if self.resampling not in RESAMPLING_SCHEMES:
-            raise ConfigError(
-                f"resampling must be one of {RESAMPLING_SCHEMES}, got {self.resampling!r}",
-                key="estimator.resampling",
-            )
-        if self.ess_threshold is not None and not 0.0 < self.ess_threshold <= 1.0:
-            raise ConfigError(
-                "ess_threshold must lie in (0, 1]", key="estimator.ess_threshold"
-            )
-        if self.fd_particles is not None and self.fd_particles < 2:
-            raise ConfigError("fd_particles must be >= 2", key="estimator.fd_particles")
-        if self.compare_smc_n < 2:
-            raise ConfigError("smc_n must be >= 2", key="compare.smc_n")
+        for section, rows in _SCHEMA.items():  # model.kind first
+            for key, row in rows.items():
+                if row.field is None and key not in self.model_params:
+                    continue
+                value = getattr(self, row.field) if row.field else self.model_params[key]
+                try:
+                    holds = row.check(value)
+                except TypeError:
+                    holds = False
+                if not holds:
+                    raise ConfigError(
+                        f"{key} must be {row.rule}, got {value!r}", key=f"{section}.{key}"
+                    )
+        for key in self.model_params:
+            row = _SCHEMA["model"].get(key)
+            if row is None or row.field or self.model_kind not in row.kinds:
+                raise ConfigError(
+                    f"{key} does not apply to kind {self.model_kind}", key=f"model.{key}"
+                )
 
 
 # ---------------------------------------------------------------------------
 # config parsing
 # ---------------------------------------------------------------------------
 
-_ALLOWED_KEYS = {
-    "model": {
-        "kind",
-        "free",
-        "phi",
-        "log_sigma_v",
-        "log_sigma_w",
-        "init",
-        "init_mean",
-        "init_sd",
-        "theta_true",
-        "data_seed",
-        "horizon",
-        "data_csv",
-        "y",
-        "obs_sd",
-        "dim",
-    },
-    "estimator": {
-        "method",
-        "theta",
-        "kernel_sigmas",
-        "resampling",
-        "ess_threshold",
-        "loglik_source",
-        "fd_particles",
-    },
-    "grid": {"tau", "n", "delta", "h", "tau_rule"},
-    "run": {"replications", "seed"},
-    "compare": {"target", "smc_n"},
-}
-
-_TAU_RULE_RE = re.compile(r"^n\^\(\s*(-?\d+)\s*/\s*(\d+)\s*\)$")
+# n^(a/b) with b > 0: the grid's tau is n ** (a / b)
+_TAU_RULE_RE = re.compile(r"^n\^\(\s*(-?\d+)\s*/\s*(0*[1-9]\d*)\s*\)$")
 
 
-def _floats(text: str) -> tuple:
-    return tuple(float(x) for x in text.split(",") if x.strip() != "")
-
-
-def _ints(text: str) -> tuple:
-    return tuple(int(x) for x in text.split(",") if x.strip() != "")
+def _list(kind):
+    """Comma-separated values parsed by ``kind``; blank items are skipped."""
+    return lambda text: tuple(kind(x.strip()) for x in text.split(",") if x.strip())
 
 
 def _or_none(kind):
@@ -245,99 +207,122 @@ def _or_none(kind):
     return lambda text: kind(text) if text.strip() else None
 
 
-def _number(section, name: str, key: str, default, kind=float):
-    """``[name] key`` parsed by ``kind``, or ``default`` when it is unset."""
-    if key not in section:
-        return default
-    try:
-        return kind(section[key])
-    except ValueError as exc:
-        raise ConfigError(
-            f"malformed value {section[key]!r}", key=f"{name}.{key}"
-        ) from exc
+def _each(holds):
+    """A check that a list is non-empty and each value passes ``holds``."""
+    return lambda values: len(values) > 0 and all(holds(v) for v in values)
+
+
+def _positive(value) -> bool:
+    return 0 < value < math.inf
+
+
+class _Key(NamedTuple):
+    """One config key.  ``field`` is the ExperimentConfig field it fills (None
+    under [model], whose values go to ``model_params``); a dict ``default``
+    holds one default per model kind; ``rule`` states what ``check`` holds."""
+
+    field: Optional[str]
+    parse: Callable
+    default: object
+    check: Callable
+    rule: str
+    kinds: tuple = MODEL_KINDS
+
+
+_SCHEMA = {
+    "model": {
+        "kind": _Key("model_kind", str, "", lambda v: v in MODEL_KINDS,
+                     "one of " + ", ".join(MODEL_KINDS)),
+        "free": _Key(None, _list(str), {"lgssm": PARAM_NAMES, "nonlinear-ar1": ("phi",)},
+                     lambda v: len(set(v)) == len(v) > 0 and set(v) <= set(PARAM_NAMES),
+                     "distinct names among " + ", ".join(PARAM_NAMES), _SSM_KINDS),
+        "phi": _Key(None, float, None, math.isfinite, "finite", _SSM_KINDS),
+        "log_sigma_v": _Key(None, float, None, math.isfinite, "finite", _SSM_KINDS),
+        "log_sigma_w": _Key(None, float, None, math.isfinite, "finite", _SSM_KINDS),
+        "init": _Key(None, str, {"lgssm": "stationary", "nonlinear-ar1": "fixed"},
+                     lambda v: v in ("stationary", "fixed"),
+                     "stationary or fixed", _SSM_KINDS),
+        "init_mean": _Key(None, float, 0.0, math.isfinite, "finite", _SSM_KINDS),
+        "init_sd": _Key(None, float, 1.0, math.isfinite, "finite", _SSM_KINDS),
+        "theta_true": _Key(None, _list(float), (), _each(math.isfinite),
+                           "a non-empty list of finite numbers", _SSM_KINDS),
+        "data_seed": _Key(None, int, 0, lambda v: v >= 0, ">= 0", _SSM_KINDS),
+        "horizon": _Key(None, int, 50, lambda v: v >= 1, ">= 1", _SSM_KINDS),
+        "data_csv": _Key(None, str, None, os.path.isfile, "an existing file", _SSM_KINDS),
+        "y": _Key(None, float, {"conjugate-gaussian": 0.0, "poisson": 1.0}, math.isfinite,
+                  "finite", _GENERAL_KINDS),
+        "obs_sd": _Key(None, float, 1.0, _positive, "finite and > 0",
+                       ("conjugate-gaussian",)),
+        "dim": _Key(None, int, None, lambda v: v >= 1, ">= 1", ("conjugate-gaussian",)),
+    },
+    "estimator": {
+        "method": _Key("method", str, "", lambda v: v in METHODS,
+                       "one of " + ", ".join(METHODS)),
+        "theta": _Key("theta", _list(float), (), _each(math.isfinite),
+                      "a non-empty list of finite numbers"),
+        "kernel_sigmas": _Key("kernel_sigmas", _list(float), (1.0,), _each(_positive),
+                              "a non-empty list of finite numbers > 0"),
+        "resampling": _Key("resampling", str, "multinomial",
+                           lambda v: v in RESAMPLING_SCHEMES,
+                           " or ".join(RESAMPLING_SCHEMES)),
+        "ess_threshold": _Key("ess_threshold", _or_none(float), None,
+                              lambda v: v is None or 0 < v <= 1, "blank or in (0, 1]"),
+        "loglik_source": _Key("loglik_source", str, "exact",
+                              lambda v: v in ("exact", "smc"), "exact or smc"),
+        "fd_particles": _Key("fd_particles", _or_none(int), None,
+                             lambda v: v is None or v >= 2, "blank or >= 2"),
+    },
+    "grid": {
+        "tau": _Key("taus", _list(float), (0.1,), _each(lambda v: 0 <= v < math.inf),
+                    "a non-empty list of finite numbers >= 0"),
+        "n": _Key("ns", _list(int), (1000,), _each(lambda v: v >= 2),
+                  "a non-empty list of integers >= 2"),
+        "delta": _Key("deltas", _list(int), (0,), _each(lambda v: v >= 0),
+                      "a non-empty list of integers >= 0"),
+        "h": _Key("hs", _list(float), (0.1,), _each(_positive),
+                  "a non-empty list of finite numbers > 0"),
+        "tau_rule": _Key("tau_rule", _or_none(str), None,
+                         lambda v: v is None or _TAU_RULE_RE.match(v) is not None,
+                         "blank or n^(a/b) for integers a and b > 0"),
+    },
+    "run": {
+        "replications": _Key("replications", int, 1, lambda v: v >= 1, ">= 1"),
+        "seed": _Key("base_seed", int, 0, lambda v: v >= 0, ">= 0"),
+    },
+    "compare": {
+        "target": _Key("compare_target", str, "score", lambda v: v in ("score", "oim"),
+                       "score or oim"),
+        "smc_n": _Key("compare_smc_n", int, 5000, lambda v: v >= 2, ">= 2"),
+    },
+}
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse and validate an experiment config file."""
+    """Parse an experiment config file; ExperimentConfig checks the values."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"cannot read config file {path}")
+    rows = [row for section in _SCHEMA.values() for row in section.values()]
+    values = {row.field: row.default for row in rows if row.field}
+    model_params = {}
     for section in parser.sections():
-        if section not in _ALLOWED_KEYS:
+        if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]", key=section)
-        for key in parser[section]:
-            if key not in _ALLOWED_KEYS[section]:
-                raise ConfigError(
-                    f"unknown key {key!r} in [{section}]", key=f"{section}.{key}"
-                )
-    try:
-        model = parser["model"]
-        est = parser["estimator"]
-        grid = parser["grid"] if parser.has_section("grid") else {}
-        compare = parser["compare"] if parser.has_section("compare") else {}
-        run = parser["run"]
-    except KeyError as exc:
-        raise ConfigError(f"missing section [{exc.args[0]}]", key=str(exc.args[0]))
-
-    kind = model.get("kind", "")
-    if kind not in MODEL_KINDS:
-        raise ConfigError(f"unknown model kind {kind!r}", key="model.kind")
-
-    model_params = {
-        key: model[key] for key in _ALLOWED_KEYS["model"] if key in model and key != "kind"
-    }
-
-    tau_rule = grid.get("tau_rule", "").strip()
-    taus_text = grid.get("tau", "").strip()
-    if tau_rule:
-        if taus_text:
-            raise ConfigError(
-                "give either a tau grid or a tau_rule, not both", key="grid.tau_rule"
-            )
-        match = _TAU_RULE_RE.match(tau_rule)
-        if not match:
-            raise ConfigError(
-                f"tau_rule must look like n^(-1/6), got {tau_rule!r}",
-                key="grid.tau_rule",
-            )
-        if int(match.group(2)) == 0:
-            raise ConfigError(
-                f"tau_rule has a zero denominator: {tau_rule!r}", key="grid.tau_rule"
-            )
-
-    config = ExperimentConfig(
-        model_kind=kind,
-        model_params=model_params,
-        method=est.get("method", ""),
-        theta=_number(est, "estimator", "theta", (), _floats),
-        kernel_sigmas=_number(est, "estimator", "kernel_sigmas", (1.0,), _floats),
-        resampling=est.get("resampling", "multinomial"),
-        ess_threshold=_number(est, "estimator", "ess_threshold", None, _or_none(float)),
-        loglik_source=est.get("loglik_source", "exact"),
-        fd_particles=_number(est, "estimator", "fd_particles", None, _or_none(int)),
-        taus=_number(grid, "grid", "tau", (0.1,), _floats) if taus_text else (0.1,),
-        ns=_number(grid, "grid", "n", (1000,), _ints),
-        deltas=_number(grid, "grid", "delta", (0,), _ints),
-        hs=_number(grid, "grid", "h", (0.1,), _floats),
-        tau_rule=tau_rule or None,
-        replications=_number(run, "run", "replications", 1, int),
-        base_seed=_number(run, "run", "seed", 0, int),
-        compare_target=compare.get("target", "score"),
-        compare_smc_n=_number(compare, "compare", "smc_n", 5000, int),
-    )
-    if not config.theta:
-        raise ConfigError("estimator.theta is required", key="estimator.theta")
-    if config.loglik_source not in ("exact", "smc"):
-        raise ConfigError(
-            f"loglik_source must be exact or smc, got {config.loglik_source!r}",
-            key="estimator.loglik_source",
-        )
-    if config.compare_target not in ("score", "oim"):
-        raise ConfigError(
-            "compare target must be score or oim", key="compare.target"
-        )
-    return config
+        for key, text in parser[section].items():
+            name, row = f"{section}.{key}", _SCHEMA[section].get(key)
+            if row is None:
+                raise ConfigError(f"unknown key {key!r} in [{section}]", key=name)
+            try:
+                value = row.parse(text)
+            except ValueError as exc:
+                raise ConfigError(f"malformed value {text!r}", key=name) from exc
+            if row.field:
+                values[row.field] = value
+            else:
+                model_params[key] = value
+    if values["tau_rule"] and parser.has_option("grid", "tau"):
+        raise ConfigError("give either a tau grid or a tau_rule", key="grid.tau_rule")
+    return ExperimentConfig(model_params=model_params, **values)
 
 
 # ---------------------------------------------------------------------------
@@ -377,17 +362,6 @@ class _ModelBundle:
     oracle_info: Optional[np.ndarray] = None
 
 
-def _free_fixed(params, default_free: str):
-    """Free parameter names, and the values of the other named parameters."""
-    free = tuple(name.strip() for name in params.get("free", default_free).split(","))
-    fixed = {
-        name: _number(params, "model", name, None)
-        for name in PARAM_NAMES
-        if name not in free and name in params
-    }
-    return free, fixed
-
-
 def _check_theta(theta: np.ndarray, dim: int) -> None:
     if theta.size != dim:
         raise ConfigError(
@@ -414,23 +388,28 @@ def _observations(path):
 
 
 def build_model_bundle(config: ExperimentConfig) -> _ModelBundle:
+    """The model, data and oracle the config describes.  Applies the rules
+    that span several [model] keys; the table has checked each one."""
     theta = np.asarray(config.theta, dtype=np.float64)
-    params = config.model_params
-    if config.model_kind in ("conjugate-gaussian", "poisson"):
-        if config.model_kind == "conjugate-gaussian":
-            dim = _number(params, "model", "dim", len(theta), int)
-            y = _number(params, "model", "y", 0.0)
-            obs_sd = _number(params, "model", "obs_sd", 1.0)
-            model = gaussian_location_model(y=y, obs_sd=obs_sd, dim=dim)
+    kind = config.model_kind
+    params = {
+        key: row.default.get(kind) if isinstance(row.default, dict) else row.default
+        for key, row in _SCHEMA["model"].items()
+    }
+    params.update(config.model_params)
+    if kind in _GENERAL_KINDS:
+        y = params["y"]
+        if kind == "conjugate-gaussian":
+            dim, obs_sd = params["dim"] or len(theta), params["obs_sd"]
             _check_theta(theta, dim)
+            model = gaussian_location_model(y=y, obs_sd=obs_sd, dim=dim)
             score = (np.full(dim, y) - theta) / obs_sd**2
             info = np.eye(dim) / obs_sd**2
         else:
-            y = _number(params, "model", "y", 1.0)
-            if not (y >= 0.0 and y.is_integer()):
+            if not (y >= 0.0 and y == int(y)):
                 raise ConfigError("y must be a non-negative integer count", key="model.y")
-            model = poisson_loglink_model(int(y))
             _check_theta(theta, 1)
+            model = poisson_loglink_model(int(y))
             with np.errstate(over="ignore"):
                 rate = np.exp(theta[0])
             score = np.array([y - rate])
@@ -447,53 +426,49 @@ def build_model_bundle(config: ExperimentConfig) -> _ModelBundle:
             oracle_info=info,
         )
 
-    # state-space kinds
-    horizon = _number(params, "model", "horizon", 50, int)
-    if horizon < 1:
-        raise ConfigError("horizon must be >= 1", key="model.horizon")
-    init_mean = _number(params, "model", "init_mean", 0.0)
-    init_sd = _number(params, "model", "init_sd", 1.0)
+    # state-space kinds: a free parameter takes no value
+    free = params["free"]
+    for name in free:
+        if name in config.model_params:
+            raise ConfigError(f"{name} is free, so it takes no value", key=f"model.{name}")
+    fixed = {name: params[name] for name in PARAM_NAMES if params[name] is not None}
     # nonlinear-ar1 has only the fixed initial law N(init_mean, init_sd^2)
-    inits = ("stationary", "fixed") if config.model_kind == "lgssm" else ("fixed",)
-    init = params.get("init", inits[0])
+    inits = ("stationary", "fixed") if kind == "lgssm" else ("fixed",)
+    init, init_mean, init_sd = params["init"], params["init_mean"], params["init_sd"]
     if init not in inits:
         raise ConfigError(f"init must be in {inits}, got {init!r}", key="model.init")
     if init == "fixed" and not init_sd > 0.0:
         raise ConfigError("init = fixed needs init_sd > 0", key="model.init_sd")
     spec = None
     try:
-        if config.model_kind == "lgssm":
-            free, fixed = _free_fixed(params, ",".join(PARAM_NAMES))
-            spec = LinearGaussianSSM(
-                free=free,
-                fixed=fixed,
-                init=init,
-                init_mean=init_mean,
-                init_sd=init_sd,
-            )
+        if kind == "lgssm":
+            spec = LinearGaussianSSM(free, fixed, init, init_mean, init_sd)
             ssm = spec.state_space()
         else:
-            free, fixed = _free_fixed(params, "phi")
-            ssm = make_nonlinear_shock_model(
-                free=free, fixed=fixed, init_mean=init_mean, init_sd=init_sd
-            )
+            ssm = make_nonlinear_shock_model(free, fixed, init_mean, init_sd)
     except ParameterNameError as exc:
         raise ConfigError(str(exc), key="model.free") from exc
     _check_theta(theta, ssm.param_dim)
-    if params.get("data_csv", "").strip():
-        ys = _observations(params["data_csv"].strip())
+    if params["data_csv"] is not None:
+        ys = _observations(params["data_csv"])
     else:
-        theta_true = np.asarray(_number(params, "model", "theta_true", (), _floats))
+        theta_true = np.asarray(params["theta_true"], dtype=np.float64)
         if theta_true.size != ssm.param_dim:
             raise ConfigError(
                 "theta_true must match the model's free-parameter count",
                 key="model.theta_true",
             )
-        data_rng = np.random.default_rng(_number(params, "model", "data_seed", 0, int))
-        _, ys = simulate(ssm, theta_true, horizon, data_rng)
+        data_rng = np.random.default_rng(params["data_seed"])
+        try:
+            _, ys = simulate(ssm, theta_true, params["horizon"], data_rng)
+        except ParameterDomainError as exc:
+            raise ConfigError(str(exc), key="model.theta_true") from exc
     bundle = _ModelBundle(dim=ssm.param_dim, ssm=ssm, ys=ys, horizon=len(ys))
     if spec is not None:
-        der = kalman_score_info(spec, theta, ys)
+        try:
+            der = kalman_score_info(spec, theta, ys)
+        except ParameterDomainError as exc:
+            raise ConfigError(str(exc), key="estimator.theta") from exc
         bundle.oracle_score = der.score
         bundle.oracle_info = der.info
         bundle.loglik_point = lambda th, rng: kalman_loglik(spec, th, ys)
@@ -658,13 +633,6 @@ _SOURCES = {
     ),
     "oracle": _Source(_oracle_estimate, (), (_ORACLE,)),
 }
-
-METHODS = tuple(
-    f"{source}-{target}"
-    for source in _SOURCES
-    if source != "oracle"
-    for target in ("score", "oim")
-) + ("oracle",)
 
 
 def _grid_cells(columns: tuple, config: ExperimentConfig, point: _GridPoint) -> dict:
@@ -859,7 +827,7 @@ def compare_fd(config: ExperimentConfig, threads: int = 1):
     target = config.compare_target
     n_nodes = len(_fd_stencil(len(config.theta), target))
     fd_n = max(2, config.compare_smc_n // n_nodes)
-    is_ssm = config.model_kind in ("lgssm", "nonlinear-ar1")
+    is_ssm = config.model_kind in _SSM_KINDS
     proposed = ("smc-" if is_ssm else "is-") + target
     fd_method = "fd-" + target
     proposed_cfg = replace(config, method=proposed, ns=(config.compare_smc_n,))

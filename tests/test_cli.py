@@ -1,6 +1,7 @@
 """CLI subcommands: exit codes, validation, reproducible output."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -275,6 +276,15 @@ def test_console_entry_point_runs(tmp_path):
     assert out.exists()
 
 
+def test_readme_config_example_runs_oracle(tmp_path):
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        example = re.search(r"```ini\n(.*?)```", fh.read(), re.S).group(1)
+    config = write(tmp_path, example, "readme.ini")
+    out = tmp_path / "oracle.csv"
+    assert main(["oracle", "--config", config, "--out", str(out)]) == EXIT_OK
+    assert len(out.read_text().splitlines()) == 1 + 2 + 4  # d = 2: score and information
+
+
 @pytest.mark.parametrize("command", ["sweep-n", "sweep-lag"])
 def test_other_sweeps_run(tmp_path, command):
     grid_key = {"sweep-n": "n = 200", "sweep-lag": "delta = 2"}[command]
@@ -287,6 +297,9 @@ def test_other_sweeps_run(tmp_path, command):
 
 IS_POINT = IS_SWEEP.replace("tau = 0.2, 0.1", "tau = 0.1")
 QUAD_POINT = IS_POINT.replace("method = is-score", "method = quad-oim")
+FD_POINT = IS_POINT.replace("method = is-score", "method = fd-score")
+STATIONARY_POINT = SMC_POINT.replace("init = fixed\ninit_sd = 1.0", "init = stationary")
+POISSON_ESTIMATE = POISSON_POINT.replace("tau = 0.2, 0.1", "tau = 0.1")
 FD_SMC_POINT = SMC_POINT.replace(
     "method = smc-score", "method = fd-score\nloglik_source = smc\nfd_particles = 50"
 )
@@ -304,6 +317,24 @@ FD_SMC_POINT = SMC_POINT.replace(
         (SMC_POINT, "tau = 0.1", "tau = 0", "grid.tau"),
         (FD_SMC_POINT, "fd_particles = 50", "fd_particles = 1", "estimator.fd_particles"),
         (SMC_POINT, "tau = 0.1", "tau_rule = n^(-1/0)", "grid.tau_rule"),
+        (IS_POINT, "dim = 1", "dim = 1\nobs_sd = 0", "model.obs_sd"),
+        (IS_POINT, "dim = 1", "dim = 1\nobs_sd = -1", "model.obs_sd"),
+        (IS_POINT, "dim = 1", "dim = 1\nobs_sd = nan", "model.obs_sd"),
+        (IS_POINT, "dim = 1", "dim = -2", "model.dim"),
+        (IS_POINT, "dim = 1", "dim = 0", "model.dim"),
+        (IS_POINT, "dim = 1", "dim = 1\ny = nan", "model.y"),
+        (SMC_POINT, "data_seed = 3", "data_seed = -1", "model.data_seed"),
+        (SMC_POINT, "init_sd = 1.0", "init_sd = inf", "model.init_sd"),
+        (SMC_POINT, "init_sd = 1.0", "init_sd = 1.0\ninit_mean = nan", "model.init_mean"),
+        (SMC_POINT, "log_sigma_v = 0.0", "log_sigma_v = nan", "model.log_sigma_v"),
+        (SMC_POINT, "theta_true = 0.5", "theta_true = nan", "model.theta_true"),
+        (SMC_POINT, "theta = 0.4", "theta = nan", "estimator.theta"),
+        (FD_POINT, "n = 500", "n = 500\nh = nan", "grid.h"),
+        (FD_POINT, "n = 500", "n = 500\nh = inf", "grid.h"),
+        (SMC_POINT, "seed = 5", "seed = -1", "run.seed"),
+        (SMC_POINT, "tau = 0.1", "tau = inf", "grid.tau"),
+        (STATIONARY_POINT, "theta_true = 0.5", "theta_true = 1.5", "model.theta_true"),
+        (STATIONARY_POINT, "theta = 0.4", "theta = 1.5", "estimator.theta"),
     ],
     ids=[
         "ess-threshold-above-one",
@@ -313,6 +344,24 @@ FD_SMC_POINT = SMC_POINT.replace(
         "smc-tau-zero",
         "fd-smc-one-particle",
         "tau-rule-zero-denominator",
+        "obs-sd-zero",
+        "obs-sd-negative",
+        "obs-sd-nan",
+        "dim-negative",
+        "dim-zero",
+        "conjugate-y-nan",
+        "data-seed-negative",
+        "init-sd-inf",
+        "init-mean-nan",
+        "fixed-log-sigma-v-nan",
+        "theta-true-nan",
+        "theta-nan",
+        "fd-h-nan",
+        "fd-h-inf",
+        "run-seed-negative",
+        "tau-inf",
+        "stationary-theta-true-out-of-domain",
+        "stationary-theta-out-of-domain",
     ],
 )
 def test_setting_the_library_rejects_is_a_config_error(tmp_path, capsys, base, old, new, key):
@@ -321,6 +370,42 @@ def test_setting_the_library_rejects_is_a_config_error(tmp_path, capsys, base, o
     out = tmp_path / "bad.csv"
     assert main(["estimate", "--config", config, "--out", str(out)]) == EXIT_CONFIG
     assert f"(key: {key})" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "base, old, new, key",
+    [
+        (IS_POINT, "dim = 1", "dim = 1\ninit = bogus", "model.init"),
+        (POISSON_ESTIMATE, "y = 3", "y = 3\nphi = 0.3", "model.phi"),
+        (POISSON_ESTIMATE, "y = 3", "y = 3\nhorizon = 7", "model.horizon"),
+        (SMC_POINT, "horizon = 8", "horizon = 8\ny = 4", "model.y"),
+        (SMC_POINT, "horizon = 8", "horizon = 8\ndim = 3", "model.dim"),
+        (SMC_POINT, "free = phi", "free = phi\nphi = 0.9", "model.phi"),
+    ],
+    ids=[
+        "conjugate-init", "poisson-phi", "poisson-horizon", "lgssm-y", "lgssm-dim",
+        "value-for-free-phi",
+    ],
+)
+def test_key_the_model_does_not_take_is_a_config_error(
+    tmp_path, capsys, base, old, new, key
+):
+    # these keys used to be ignored, and the run exited 0
+    assert base.count(old) == 1
+    config = write(tmp_path, base.replace(old, new), "bad.ini")
+    out = tmp_path / "bad.csv"
+    assert main(["estimate", "--config", config, "--out", str(out)]) == EXIT_CONFIG
+    assert f"(key: {key})" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
+    config = write(tmp_path, SMC_POINT, "smc.ini")
+    out = tmp_path / "out.csv"
+    argv = ["estimate", "--config", config, "--out", str(out), "--seed", "-3"]
+    assert main(argv) == EXIT_CONFIG
+    assert "(key: run.seed)" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,9 +1,15 @@
 """Config parsing, seed splitting, experiment runs, and rate fitting."""
 
+import math
+import re
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dfscore.harness import (
+    MODEL_KINDS,
     RUN_RECORD_FIELDS,
     COMPARE_TABLE_FIELDS,
     ConfigError,
@@ -17,6 +23,7 @@ from dfscore.harness import (
     run_experiment,
     write_compare_csv,
     write_records_csv,
+    _SCHEMA,
     _GridPoint,
     _run_one,
 )
@@ -51,7 +58,7 @@ def write_config(tmp_path, text, name="exp.ini"):
 def base_config(**overrides):
     kwargs = dict(
         model_kind="conjugate-gaussian",
-        model_params={"dim": "1", "y": "0.0"},
+        model_params={"dim": 1, "y": 0.0},
         method="is-score",
         theta=(1.0,),
         kernel_sigmas=(1.0,),
@@ -134,6 +141,110 @@ def test_config_grid_validation():
         assert err.value.key == "estimator.kernel_sigmas"
 
 
+LGSSM_INI = """
+[model]
+kind = lgssm
+free = phi
+log_sigma_v = 0.0
+log_sigma_w = 0.0
+init = fixed
+theta_true = 0.5
+horizon = 5
+
+[estimator]
+method = smc-score
+theta = 0.4
+
+[grid]
+tau = 0.1
+n = 100
+"""
+
+# A value each schema row rejects: as INI text, and typed as ExperimentConfig
+# holds it.
+BAD_VALUES = {
+    "model.kind": ("bogus", "bogus"),
+    "model.free": ("phi, phi", ("phi", "phi")),
+    "model.phi": ("nan", math.nan),
+    "model.log_sigma_v": ("inf", math.inf),
+    "model.log_sigma_w": ("-inf", -math.inf),
+    "model.init": ("bogus", "bogus"),
+    "model.init_mean": ("nan", math.nan),
+    "model.init_sd": ("inf", math.inf),
+    "model.theta_true": ("0.5, nan", (0.5, math.nan)),
+    "model.data_seed": ("-1", -1),
+    "model.horizon": ("0", 0),
+    "model.data_csv": ("missing/ys.csv", "missing/ys.csv"),
+    "model.y": ("nan", math.nan),
+    "model.obs_sd": ("0", 0.0),
+    "model.dim": ("0", 0),
+    "estimator.method": ("magic", "magic"),
+    "estimator.theta": ("nan", (math.nan,)),
+    "estimator.kernel_sigmas": ("1.0, 0", (1.0, 0.0)),
+    "estimator.resampling": ("bogus", "bogus"),
+    "estimator.ess_threshold": ("0", 0.0),
+    "estimator.loglik_source": ("bogus", "bogus"),
+    "estimator.fd_particles": ("1", 1),
+    "grid.tau": ("inf", (math.inf,)),
+    "grid.n": ("1", (1,)),
+    "grid.delta": ("-1", (-1,)),
+    "grid.h": ("nan", (math.nan,)),
+    "grid.tau_rule": ("n^(1/0)", "n^(1/0)"),
+    "run.replications": ("0", 0),
+    "run.seed": ("-1", -1),
+    "compare.target": ("bogus", "bogus"),
+    "compare.smc_n": ("1", 1),
+}
+
+
+@pytest.mark.parametrize(
+    "section, key", [(section, key) for section, rows in _SCHEMA.items() for key in rows]
+)
+def test_every_schema_row_rejects_a_bad_value_on_its_key(tmp_path, section, key):
+    text, value = BAD_VALUES[f"{section}.{key}"]
+    row = _SCHEMA[section][key]
+    base = CONJUGATE_INI if "conjugate-gaussian" in row.kinds else LGSSM_INI
+    good = load_config(write_config(tmp_path, base, "good.ini"))
+    # a tau_rule replaces the tau grid
+    drop = ("tau", key) if key == "tau_rule" else (key,)
+    ini = "".join(
+        line for line in base.splitlines(keepends=True) if line.split(" = ")[0] not in drop
+    )
+    if f"[{section}]" not in ini:
+        ini += f"\n[{section}]\n"
+    ini = ini.replace(f"[{section}]\n", f"[{section}]\n{key} = {text}\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(write_config(tmp_path, ini))
+    assert err.value.key == f"{section}.{key}"
+    assert row.rule in str(err.value)
+
+    if row.field:
+        changes = {row.field: value}
+    else:
+        changes = {"model_params": {**good.model_params, key: value}}
+    with pytest.raises(ConfigError) as err:
+        replace(good, **changes)
+    assert err.value.key == f"{section}.{key}"
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(**{**good.__dict__, **changes})
+    assert err.value.key == f"{section}.{key}"
+
+
+def test_readme_key_table_matches_the_schema():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = re.findall(r"^\| `(\w+\.\w+)` \| (.+?) \| (.+?) \|$", readme, re.M)
+    kinds = lambda row: "all" if row.kinds == MODEL_KINDS else ", ".join(row.kinds)
+    assert table == [
+        (f"{section}.{key}", kinds(row), row.rule)
+        for section, rows in _SCHEMA.items()
+        for key, row in rows.items()
+    ]
+    for kind in MODEL_KINDS:
+        listed = re.search(rf"^- `{kind}`: (.+)$", readme, re.M).group(1)
+        keys = [key for key, row in _SCHEMA["model"].items() if kind in row.kinds]
+        assert listed == ", ".join(f"`{key}`" for key in keys)
+
+
 # ---------------------------------------------------------------------------
 # seed splitting
 # ---------------------------------------------------------------------------
@@ -171,7 +282,7 @@ def test_record_cardinality_score_and_info():
     records = run_experiment(base_config(method="is-oim", replications=1))
     assert len(records) == 1  # d^2 = 1
     config = base_config(
-        model_params={"dim": "2", "y": "0.0"},
+        model_params={"dim": 2, "y": 0.0},
         theta=(1.0, 0.5),
         kernel_sigmas=(1.0, 1.0),
         method="is-oim",
@@ -233,7 +344,7 @@ def test_estimator_failure_tagged_not_fatal():
     # theta far in the Poisson tail: exp overflows, every weight is zero
     config = base_config(
         model_kind="poisson",
-        model_params={"y": "3"},
+        model_params={"y": 3.0},
         theta=(800.0,),
         replications=2,
     )
@@ -267,14 +378,14 @@ def test_smc_methods_through_harness():
     config = base_config(
         model_kind="lgssm",
         model_params={
-            "free": "phi",
-            "log_sigma_v": "0.0",
-            "log_sigma_w": "0.0",
+            "free": ("phi",),
+            "log_sigma_v": 0.0,
+            "log_sigma_w": 0.0,
             "init": "fixed",
-            "init_sd": "1.0",
-            "theta_true": "0.5",
-            "data_seed": "3",
-            "horizon": "15",
+            "init_sd": 1.0,
+            "theta_true": (0.5,),
+            "data_seed": 3,
+            "horizon": 15,
         },
         method="smc-score",
         theta=(0.4,),
@@ -290,12 +401,12 @@ def test_smc_methods_through_harness():
     config2 = base_config(
         model_kind="nonlinear-ar1",
         model_params={
-            "free": "phi",
-            "log_sigma_v": "0.0",
-            "log_sigma_w": "0.0",
-            "theta_true": "0.5",
-            "data_seed": "3",
-            "horizon": "10",
+            "free": ("phi",),
+            "log_sigma_v": 0.0,
+            "log_sigma_w": 0.0,
+            "theta_true": (0.5,),
+            "data_seed": 3,
+            "horizon": 10,
         },
         method="smc-oim",
         theta=(0.4,),
@@ -310,13 +421,13 @@ def test_smc_methods_through_harness():
 
 
 LGSSM_2D = {
-    "free": "phi, log_sigma_v",
-    "log_sigma_w": "0.0",
+    "free": ("phi", "log_sigma_v"),
+    "log_sigma_w": 0.0,
     "init": "fixed",
-    "init_sd": "1.0",
-    "theta_true": "0.6, 0.0",
-    "data_seed": "3",
-    "horizon": "6",
+    "init_sd": 1.0,
+    "theta_true": (0.6, 0.0),
+    "data_seed": 3,
+    "horizon": 6,
 }
 SCORE_LAYOUT = [(1, None), (2, None)]
 INFO_LAYOUT = [(1, 1), (1, 2), (2, 1), (2, 2)]
@@ -343,7 +454,7 @@ def test_every_method_row_layout_and_grid_cells(method, loglik_source, filled, l
     on_ssm = method.startswith("smc-") or loglik_source == "smc"
     config = base_config(
         model_kind="lgssm" if on_ssm else "conjugate-gaussian",
-        model_params=LGSSM_2D if on_ssm else {"dim": "2", "y": "0.3"},
+        model_params=LGSSM_2D if on_ssm else {"dim": 2, "y": 0.3},
         method=method,
         theta=(0.5, -0.1),
         kernel_sigmas=(1.0, 0.8),
@@ -429,14 +540,14 @@ def test_compare_fd_lgssm_emits_ratio():
     config = base_config(
         model_kind="lgssm",
         model_params={
-            "free": "phi",
-            "log_sigma_v": "0.0",
-            "log_sigma_w": "0.0",
+            "free": ("phi",),
+            "log_sigma_v": 0.0,
+            "log_sigma_w": 0.0,
             "init": "fixed",
-            "init_sd": "1.0",
-            "theta_true": "0.6",
-            "data_seed": "4",
-            "horizon": "10",
+            "init_sd": 1.0,
+            "theta_true": (0.6,),
+            "data_seed": 4,
+            "horizon": 10,
         },
         method="smc-score",
         theta=(0.5,),
@@ -456,14 +567,14 @@ def test_run_one_handles_collapse(monkeypatch):
     config = base_config(
         model_kind="lgssm",
         model_params={
-            "free": "phi",
-            "log_sigma_v": "0.0",
-            "log_sigma_w": "0.0",
+            "free": ("phi",),
+            "log_sigma_v": 0.0,
+            "log_sigma_w": 0.0,
             "init": "fixed",
-            "init_sd": "1.0",
-            "theta_true": "0.5",
-            "data_seed": "3",
-            "horizon": "5",
+            "init_sd": 1.0,
+            "theta_true": (0.5,),
+            "data_seed": 3,
+            "horizon": 5,
         },
         method="smc-score",
         theta=(0.4,),
