@@ -85,15 +85,17 @@ class PosteriorMoments:
                 raise ValueError("ess must lie in [1, n]")
 
 
-def _evaluate_loglik(model: GeneralModel, thetas: np.ndarray) -> np.ndarray:
+def _evaluate_loglik(model: GeneralModel, thetas: np.ndarray):
+    """``(logl, max logl)`` for one batch; the max is also the value check."""
     logl = np.asarray(model.log_likelihood(thetas), dtype=np.float64)
     if logl.shape != (thetas.shape[0],):
         raise ValueError(
             f"log_likelihood returned shape {logl.shape}, expected ({thetas.shape[0]},)"
         )
-    if not np.all(logl < np.inf):  # also false for NaN
+    top = np.max(logl)
+    if not top < np.inf:  # also true for NaN
         raise ValueError("log_likelihood must return finite values or -inf")
-    return logl
+    return logl, top
 
 
 def posterior_moments_is(
@@ -110,6 +112,8 @@ def posterior_moments_is(
     weights them by likelihood with a max-shifted exponentiation, and returns
     the self-normalized mean, plug-in covariance and effective sample size.
     Blocks of ``kernels._BLOCK_ROWS`` draws all precede the first likelihood call.
+    The weights overwrite the log-likelihoods, so besides the draws the
+    estimate holds one ``(n,)`` vector.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -121,13 +125,15 @@ def posterior_moments_is(
     for b in blocks:
         thetas[b] = kernel.sample(theta, tau, rng, size=b.stop - b.start)
     logl = np.empty(n)
+    top = -np.inf
     for b in blocks:
-        logl[b] = _evaluate_loglik(model, thetas[b])
-    if np.max(logl) == -np.inf:
+        logl[b], block_top = _evaluate_loglik(model, thetas[b])
+        top = max(top, block_top)
+    if top == -np.inf:
         raise DegeneratePosteriorError(
             "all importance weights are zero; tau is likely mis-scaled"
         )
-    w, _ = kernels.normalize_log_weights(logl)
+    w, _ = kernels.normalize_log_weights(logl, out=logl)
     mean, cov = kernels.weighted_mean_cov(thetas, w)
     ess = min(max(1.0 / float(w @ w), 1.0), float(n))
     return PosteriorMoments(mean=mean, covariance=cov, ess=ess, n=n)
@@ -139,27 +145,63 @@ _QUAD_POINTS = 2001
 _QUAD_HALF_WIDTH_SDS = 8.0
 
 
-def _grid_loglik(model: GeneralModel, a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
-    """Log-likelihood on the ``ij``-ordered tensor grid ``a0 x a1``.
+def _grid_sums(model: GeneralModel, a0, a1, log_w0, log_w1, centre1: float):
+    """Streamed sums of the 2-D posterior weights on the grid ``a0 x a1``.
 
-    Returns the ``(a0.size, a1.size)`` matrix whose ``[i, j]`` entry is the
-    log-likelihood at ``(a0[i], a1[j])``.  The grid goes to ``log_likelihood``
-    in blocks of as many whole rows as fit in ``kernels._BLOCK_ROWS`` nodes
-    (16 rows of the 2001-point grid), and every block passes the same checks
-    as a single call would.  A block's nodes are filled component-major, as
-    a ``(2, nodes)`` buffer, and passed as its ``(nodes, 2)`` transpose.
+    The grid goes to ``log_likelihood`` in blocks of as many whole rows as
+    fit in ``kernels._BLOCK_ROWS`` nodes (16 rows of the 2001-point grid),
+    and every block passes the same checks as a single call would.  A
+    block's nodes are filled component-major, as a ``(2, nodes)`` buffer,
+    and passed as its ``(nodes, 2)`` transpose.
+
+    With ``W[i, j] = exp(L[i, j] - shift)`` for the log-posterior
+    ``L = logl + log_w0[i] + log_w1[j]``, returns ``(rows, moments, cols)``:
+    the row sums of ``W``, ``W @ (a1 - centre1)`` and the column sums of
+    ``W``.  No ``(m, m)`` matrix exists.  Each block is exponentiated in
+    place as ``exp(logl + log_w1 - top)``, with ``top`` its largest
+    ``logl`` plus the largest ``log_w1``, and its rows are then scaled by
+    ``exp(log_w0[i] + top - shift)``.  ``shift`` is the running maximum of
+    the blocks' ``top + max log_w0``: when a block raises it, the sums
+    already held are rescaled by ``exp(old - new)`` (the online normaliser).
+    These bounds exceed the true maxima by at most the two log-priors'
+    ranges (about 33 nats each), so nothing overflows and no weight that
+    matters leaves the normal floating-point range.  A block whose entries
+    are all ``-inf`` adds nothing; if every block is,
+    ``DegeneratePosteriorError`` is raised.
     """
     m0, m1 = a0.size, a1.size
-    rows = max(1, kernels._BLOCK_ROWS // m1)
-    out = np.empty((m0, m1))
-    for start in range(0, m0, rows):
-        block = a0[start : start + rows]
-        points = np.empty((2, block.size, m1))
-        points[0] = block[:, None]
+    step = max(1, kernels._BLOCK_ROWS // m1)
+    # one product with these columns gives a block's row sums and moments
+    row_basis = np.column_stack([np.ones(m1), a1 - centre1])
+    rows, moments, cols = np.zeros(m0), np.zeros(m0), np.zeros(m1)
+    shift = -np.inf
+    top_w1 = np.max(log_w1)
+    weights = np.empty((step, m1))
+    for start in range(0, m0, step):
+        block = slice(start, min(start + step, m0))
+        b = block.stop - start
+        points = np.empty((2, b, m1))
+        points[0] = a0[block, None]
         points[1] = a1
-        logl = _evaluate_loglik(model, points.reshape(2, -1).T)
-        out[start : start + block.size] = logl.reshape(block.size, m1)
-    return out
+        logl, top = _evaluate_loglik(model, points.reshape(2, -1).T)
+        if top == -np.inf:
+            continue
+        top += top_w1
+        peak = np.max(log_w0[block]) + top
+        if peak > shift:
+            rescale = np.exp(shift - peak)
+            rows *= rescale
+            moments *= rescale
+            cols *= rescale
+            shift = peak
+        w = np.subtract(logl.reshape(b, m1), top - log_w1, out=weights[:b])
+        np.exp(w, out=w)
+        row_scale = np.exp(log_w0[block] + (top - shift))
+        rows[block], moments[block] = (w @ row_basis).T * row_scale
+        cols += row_scale @ w
+    if shift == -np.inf:
+        raise DegeneratePosteriorError("posterior mass vanished on the grid")
+    return rows, moments, cols
 
 
 def posterior_moments_quadrature(
@@ -177,14 +219,19 @@ def posterior_moments_quadrature(
 
     The prior density and the trapezoid coefficients factor over the axes,
     so their log-weights are one ``(m,)`` vector per axis and the grid is
-    never materialized as a point array.  In 2-D ``_grid_loglik`` calls
-    ``log_likelihood`` 126 times per estimate, on blocks of 16 whole rows
-    (at most 2^15 nodes), each checked like a single call.  The blocks fill
-    one ``(m, m)`` log-posterior matrix ``L``; after a max-shifted
-    exponentiation ``W = exp(L - max L)``, the means and variances come from
-    the row and column sums of ``W`` and the cross term is
-    ``d0' W d1 / sum(W)`` with ``d_k`` the axis nodes minus their mean.
-    The 1-D grid is evaluated in a single call.
+    never materialized as a point array.  The 1-D grid is evaluated in a
+    single call and weighted as ``W = exp(L - max L)``.  In 2-D
+    ``_grid_sums`` calls ``log_likelihood`` 126 times per estimate, on
+    blocks of 16 whole rows (at most 2^15 nodes), each checked like a single
+    call.  No ``(m, m)`` log-posterior matrix is formed: each block is
+    exponentiated in place against a running shift and folded into three
+    ``(m,)`` vectors, which are rescaled whenever the shift rises, so memory
+    is O(m) besides one block.  The means and variances come from the row
+    sums ``r`` and the column sums of ``W``.  The cross term is
+    ``d0' (s + r (theta1 - mu1)) / sum(W)`` with ``s = W (a1 - theta1)``
+    and ``d0`` the first axis minus its mean ``mu0``.  The ``r`` term is
+    zero in exact arithmetic, but it cancels the rounding of ``mu0``, which
+    ``d0' s`` alone would carry into the cross term times ``mu1 - theta1``.
     """
     if model.dim > 2:
         raise ValueError("quadrature oracle supports dim <= 2 only")
@@ -209,27 +256,25 @@ def posterior_moments_quadrature(
         log_w.append(np.log(coeff) - 0.5 * z * z)
 
     if model.dim == 1:
-        log_post = _evaluate_loglik(model, axes[0][:, None]) + log_w[0]
-    else:
-        log_post = _grid_loglik(model, axes[0], axes[1])
-        log_post += log_w[0][:, None]
-        log_post += log_w[1]
-    peak = np.max(log_post)
-    if peak == -np.inf:
-        raise DegeneratePosteriorError("posterior mass vanished on the grid")
-    log_post -= peak
-    weights = np.exp(log_post, out=log_post)
-    total = weights.sum()
-    if model.dim == 1:
+        logl, _ = _evaluate_loglik(model, axes[0][:, None])
+        log_post = logl + log_w[0]
+        peak = np.max(log_post)
+        if peak == -np.inf:
+            raise DegeneratePosteriorError("posterior mass vanished on the grid")
+        log_post -= peak
+        weights = np.exp(log_post, out=log_post)
+        total = weights.sum()
         marginals = [weights / total]
     else:
-        marginals = [weights.sum(axis=1) / total, weights.sum(axis=0) / total]
+        rows, moments, cols = _grid_sums(model, *axes, *log_w, theta[1])
+        total = rows.sum()
+        marginals = [rows / total, cols / total]
     mean = np.array([p @ axis for p, axis in zip(marginals, axes)])
     dev = [axis - mu for axis, mu in zip(axes, mean)]
     cov = np.diag([p @ (d * d) for p, d in zip(marginals, dev)])
     if model.dim == 2:
-        cov[0, 1] = cov[1, 0] = dev[0] @ (weights @ dev[1]) / total
-    return PosteriorMoments(mean=mean, covariance=cov, ess=None, n=weights.size)
+        cov[0, 1] = cov[1, 0] = dev[0] @ (moments + rows * (theta[1] - mean[1])) / total
+    return PosteriorMoments(mean=mean, covariance=cov, ess=None, n=m**model.dim)
 
 
 def _kernel_variances(sigma, dim: int) -> np.ndarray:

@@ -10,8 +10,9 @@ component-major ``(d, n)`` layout: each input is first brought to a
 C-contiguous ``(d, n)`` array with ``np.ascontiguousarray(x.T)``, which is
 free for the transposed views the samplers and the filter pass and a copy
 otherwise.  Their output bits therefore do not depend on the input's memory
-layout.  They never write into their inputs, which may be the caller's own
-buffers.
+layout.  A kernel writes into a caller's buffer only when that buffer is
+passed as ``out``; otherwise it never writes into its inputs, which may be
+the caller's own buffers.
 """
 
 from __future__ import annotations
@@ -30,15 +31,18 @@ __all__ = [
 _BLOCK_ROWS = 1 << 15  # rows per block of every streamed pass, sized for L2
 
 
-def normalize_log_weights(logw):
+def normalize_log_weights(logw, out=None):
     """Self-normalized weights from log-weights, plus their log-sum-exp.
 
     Returns ``(w, lse)`` with ``w = exp(logw - lse)`` summing to one up to
     round-off and ``lse = log(sum(exp(logw)))``.  Max-shifted so peaked
     log-weights do not overflow.  Callers must reject all ``-inf`` input.
+    As in numpy, ``out`` is an array to write ``w`` into and return; passing
+    ``out=logw`` overwrites the log-weights and allocates nothing, with the
+    same output bits.
     """
     m = np.max(logw)
-    w = np.subtract(logw, m)
+    w = np.subtract(logw, m, out=out)
     np.exp(w, out=w)
     s = w.sum()
     w /= s

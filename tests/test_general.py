@@ -83,8 +83,8 @@ def test_blocked_is_matches_one_whole_array_pass(n, d, seed):
 
 
 def test_is_temporaries_are_block_sized():
-    # past the block size the peak is the (d, n) draws, the (n,) log-likelihood
-    # and the (n,) weights, plus block-sized temporaries
+    # past the block size the peak is the (d, n) draws and the (n,)
+    # log-likelihood, which the weights overwrite, plus block-sized temporaries
     n, d = 16 * _BLOCK, 2
     model = gaussian_location_model(dim=d)
     kernel = dfs.make_gaussian_kernel([1.0, 2.5])
@@ -94,7 +94,7 @@ def test_is_temporaries_are_block_sized():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < (d + 2) * 8 * n + 8 * d * 8 * _BLOCK
+    assert peak < (d + 1) * 8 * n + 8 * d * 8 * _BLOCK
 
 
 def test_is_moments_match_conjugate_closed_form():
@@ -450,6 +450,35 @@ def correlated_gaussian_model(mu, precision):
     return GeneralModel(dim=len(mu), log_likelihood=log_likelihood)
 
 
+def _running_shift_model(drop):
+    # on the grid of theta = (0.5, -0.3), tau = 0.1, sigma0 = 1 the 16-row
+    # blocks arrive in row order: the first block is all -inf, the next third
+    # of the rows sit `drop` nats below a correlated Gaussian, and one block in
+    # the middle of the peak region is all -inf, so the shift starts at -inf,
+    # rises through the low rows, jumps at the Gaussian and keeps rising
+    # towards its peak
+    m, rows = 2001, 16
+    lo, step = 0.5 - 0.8, 1.6 / (m - 1)
+    gaussian = correlated_gaussian_model(np.array([0.55, -0.1]), np.array([[60.0, 25.0], [25.0, 30.0]]))
+
+    def log_likelihood(thetas):
+        row = np.rint((thetas[:, 0] - lo) / step).astype(int)
+        out = gaussian.log_likelihood(thetas)
+        out[row < m // 3] -= drop
+        out[(row < rows) | ((row >= 62 * rows) & (row < 63 * rows))] = -np.inf
+        return out
+
+    return GeneralModel(dim=2, log_likelihood=log_likelihood)
+
+
+def _assert_matches_point_array(model, theta, tau, kernel):
+    mom = dfs.posterior_moments_quadrature(model, theta, tau, kernel)
+    ref_mean, ref_cov = _point_array_quadrature(model, theta, tau, kernel)
+    np.testing.assert_allclose(mom.mean, ref_mean, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(mom.covariance, ref_cov, rtol=1e-12, atol=0)
+    return mom, ref_cov
+
+
 @pytest.mark.parametrize(
     "model, theta, sigmas, tau",
     [
@@ -461,18 +490,63 @@ def correlated_gaussian_model(mu, precision):
             0.1,
         ),
         (poisson_loglink_model(3), THETA, [1.0], 0.05),
+        (_running_shift_model(5.0), np.array([0.5, -0.3]), [1.0, 2.5], 0.1),
+        (_running_shift_model(1000.0), np.array([0.5, -0.3]), [1.0, 2.5], 0.1),
     ],
-    ids=["gaussian-2d-correlated", "poisson-1d"],
+    ids=["gaussian-2d-correlated", "poisson-1d", "running-shift-5", "running-shift-1000"],
 )
 def test_quadrature_matches_point_array_reference(model, theta, sigmas, tau):
     kernel = dfs.make_gaussian_kernel(sigmas)
-    mom = dfs.posterior_moments_quadrature(model, theta, tau, kernel)
-    ref_mean, ref_cov = _point_array_quadrature(model, theta, tau, kernel)
-    np.testing.assert_allclose(mom.mean, ref_mean, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(mom.covariance, ref_cov, rtol=1e-12, atol=0)
+    mom, ref_cov = _assert_matches_point_array(model, theta, tau, kernel)
     if model.dim == 2:
         assert abs(ref_cov[0, 1]) > 1e-4
     assert mom.n == 2001**model.dim
+
+
+@settings(max_examples=8)
+@given(
+    signs=st.tuples(st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0])),
+    size=st.tuples(st.floats(1.0, 3.0), st.floats(1.0, 3.0)),
+    offset=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    strength=st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0)),
+    rho=st.floats(0.3, 0.9),
+    rho_sign=st.sampled_from([-1.0, 1.0]),
+    sigmas=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+    tau=st.floats(0.02, 0.3),
+)
+def test_quadrature_random_correlated_gaussians_match_point_array_reference(
+    signs, size, offset, strength, rho, rho_sign, sigmas, tau
+):
+    # the likelihood's centre sits within one prior SD of theta and its
+    # precision is 0.2-5 times the prior's, with |correlation| >= 0.3, so
+    # the posterior lies well inside the grid and no mean or covariance
+    # entry is near zero, which a relative bound needs
+    theta = np.array(signs) * np.array(size)
+    prior_sd = tau * np.array(sigmas)
+    sd = prior_sd / np.sqrt(np.array(strength))
+    cov = np.array([[1.0, rho_sign * rho], [rho_sign * rho, 1.0]]) * np.outer(sd, sd)
+    model = correlated_gaussian_model(theta + np.array(offset) * prior_sd, np.linalg.inv(cov))
+    _assert_matches_point_array(model, theta, tau, dfs.make_gaussian_kernel(sigmas))
+
+
+def test_quadrature_1d_is_one_max_shifted_pass_bitwise():
+    # the 1-D grid goes to the likelihood in one call and is weighted by one
+    # max-shifted exponentiation of the whole log-posterior vector
+    model, theta, tau, sigma = poisson_loglink_model(3), THETA, 0.05, 1.3
+    mom = dfs.posterior_moments_quadrature(model, theta, tau, dfs.make_gaussian_kernel([sigma]))
+    scale = tau * sigma
+    axis = np.linspace(theta[0] - 8.0 * scale, theta[0] + 8.0 * scale, 2001)
+    coeff = np.full(2001, axis[1] - axis[0])
+    coeff[0] *= 0.5
+    coeff[-1] *= 0.5
+    z = (axis - theta[0]) / scale
+    log_post = model.log_likelihood(axis[:, None]) + (np.log(coeff) - 0.5 * z * z)
+    weights = np.exp(log_post - np.max(log_post))
+    p = weights / weights.sum()
+    mean = p @ axis
+    dev = axis - mean
+    assert np.array_equal(mom.mean, [mean])
+    assert np.array_equal(mom.covariance, [[p @ (dev * dev)]])
 
 
 def test_quadrature_streams_grid_in_row_blocks():
@@ -518,8 +592,9 @@ def test_quadrature_all_minus_inf_is_degenerate(dim):
 
 
 def test_quadrature_2d_peak_memory_is_bounded():
-    # the (m, m) float64 log-posterior matrix is 32 MB at m = 2001; a point
-    # array of all m^2 nodes with its temporaries peaks near 460 MB
+    # the streamed sums hold O(m) floats besides one 16-row block (a few
+    # 0.5 MB arrays); an (m, m) float64 log-posterior matrix would be 32 MB
+    # at m = 2001, and a point array of all m^2 nodes peaks near 460 MB
     model = gaussian_location_model(y=0.3, dim=2)
     kernel = dfs.make_gaussian_kernel([1.0, 2.5])
     tracemalloc.start()
@@ -528,7 +603,7 @@ def test_quadrature_2d_peak_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert peak < 4 * 2**20
 
 
 def test_is_converges_to_quadrature_moments():

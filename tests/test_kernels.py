@@ -27,6 +27,30 @@ def test_flat_log_weights_are_bitwise_uniform():
         assert np.all(w == 1.0 / n)
 
 
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 400),
+    spread=st.floats(0.0, 800.0),
+    dead=st.floats(0.0, 0.9),
+)
+def test_normalize_log_weights_in_place_matches_a_fresh_array(seed, n, spread, dead):
+    # log-weights spread over up to 800 nats, some of them -inf, at least
+    # one finite; out=x must return x itself with the bits of a fresh result,
+    # and without out the input must stay untouched
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-spread, 0.0, size=n) + rng.normal(size=n) - 40.0
+    x[rng.random(n) < dead] = -np.inf
+    x[rng.integers(n)] = rng.normal()
+    kept = x.copy()
+    w, lse = kernels.normalize_log_weights(x)
+    assert np.array_equal(x, kept)
+    w_in_place, lse_in_place = kernels.normalize_log_weights(x, out=x)
+    assert w_in_place is x
+    assert np.array_equal(w_in_place, w)
+    assert lse_in_place == lse
+
+
 def test_weighted_mean_cov_against_numpy_reference():
     rng = _rng()
     x = rng.normal(size=(400, 3))
