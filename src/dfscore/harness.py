@@ -4,9 +4,10 @@ Configuration lives in flat INI files (``key = value`` under ``[model]``,
 ``[estimator]``, ``[grid]``, ``[run]``, and optionally ``[compare]``).  One
 table, ``_SCHEMA``, holds every key: the ``ExperimentConfig`` field it fills
 (``[model]`` values go to ``model_params``), its parser, its default, its
-check and the model kinds it applies to.  ``load_config`` only parses;
-``ExperimentConfig`` runs the checks however it is built, so a config made in
-code or by ``dataclasses.replace`` meets the same rules as a file.
+check and the model kinds and methods it applies to.  ``ExperimentConfig``
+runs the checks however it is built, so a config made in code or by
+``dataclasses.replace`` meets the same rules as a file; ``load_config`` also
+rejects a key given in the file that the method does not read.
 ``build_model_bundle`` keeps the rules that span several ``[model]`` keys.
 
 Every replication draws its random stream from
@@ -92,8 +93,9 @@ __all__ = [
 MODEL_KINDS = ("conjugate-gaussian", "poisson", "lgssm", "nonlinear-ar1")
 _GENERAL_KINDS = ("conjugate-gaussian", "poisson")
 _SSM_KINDS = ("lgssm", "nonlinear-ar1")
+SOURCES = ("is", "quad", "fd", "smc", "oracle")
 METHODS = tuple(
-    f"{src}-{target}" for src in ("is", "quad", "fd", "smc") for target in ("score", "oim")
+    f"{src}-{target}" for src in SOURCES[:-1] for target in ("score", "oim")
 ) + ("oracle",)
 
 COMPARE_TABLE_FIELDS = (
@@ -219,7 +221,8 @@ def _positive(value) -> bool:
 class _Key(NamedTuple):
     """One config key.  ``field`` is the ExperimentConfig field it fills (None
     under [model], whose values go to ``model_params``); a dict ``default``
-    holds one default per model kind; ``rule`` states what ``check`` holds."""
+    holds one default per model kind; ``rule`` states what ``check`` holds;
+    ``methods`` lists the moment sources that read the key."""
 
     field: Optional[str]
     parse: Callable
@@ -227,6 +230,7 @@ class _Key(NamedTuple):
     check: Callable
     rule: str
     kinds: tuple = MODEL_KINDS
+    methods: tuple = SOURCES
 
 
 _SCHEMA = {
@@ -264,13 +268,16 @@ _SCHEMA = {
                               "a non-empty list of finite numbers > 0"),
         "resampling": _Key("resampling", str, "multinomial",
                            lambda v: v in RESAMPLING_SCHEMES,
-                           " or ".join(RESAMPLING_SCHEMES)),
+                           " or ".join(RESAMPLING_SCHEMES), methods=("fd", "smc")),
         "ess_threshold": _Key("ess_threshold", _or_none(float), None,
-                              lambda v: v is None or 0 < v <= 1, "blank or in (0, 1]"),
+                              lambda v: v is None or 0 < v <= 1, "blank or in (0, 1]",
+                              methods=("smc",)),
         "loglik_source": _Key("loglik_source", str, "exact",
-                              lambda v: v in ("exact", "smc"), "exact or smc"),
+                              lambda v: v in ("exact", "smc"), "exact or smc",
+                              methods=("fd",)),
         "fd_particles": _Key("fd_particles", _or_none(int), None,
-                             lambda v: v is None or v >= 2, "blank or >= 2"),
+                             lambda v: v is None or v >= 2, "blank or >= 2",
+                             methods=("fd",)),
     },
     "grid": {
         "tau": _Key("taus", _list(float), (0.1,), _each(lambda v: 0 <= v < math.inf),
@@ -305,6 +312,7 @@ def load_config(path) -> ExperimentConfig:
     rows = [row for section in _SCHEMA.values() for row in section.values()]
     values = {row.field: row.default for row in rows if row.field}
     model_params = {}
+    given = []
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]", key=section)
@@ -320,9 +328,15 @@ def load_config(path) -> ExperimentConfig:
                 values[row.field] = value
             else:
                 model_params[key] = value
+            given.append((name, row))
     if values["tau_rule"] and parser.has_option("grid", "tau"):
         raise ConfigError("give either a tau grid or a tau_rule", key="grid.tau_rule")
-    return ExperimentConfig(model_params=model_params, **values)
+    config = ExperimentConfig(model_params=model_params, **values)
+    source = config.method.partition("-")[0]
+    for name, row in given:
+        if source not in row.methods:
+            raise ConfigError(f"{name} does not apply to method {config.method}", key=name)
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +465,9 @@ def build_model_bundle(config: ExperimentConfig) -> _ModelBundle:
     _check_theta(theta, ssm.param_dim)
     if params["data_csv"] is not None:
         ys = _observations(params["data_csv"])
+        for key in ("theta_true", "data_seed", "horizon"):
+            if key in config.model_params:
+                raise ConfigError(f"{key} does not apply next to data_csv", key=f"model.{key}")
     else:
         theta_true = np.asarray(params["theta_true"], dtype=np.float64)
         if theta_true.size != ssm.param_dim:

@@ -223,7 +223,6 @@ def run_extended_bootstrap(
     ys,
     config: ExtendedFilterConfig,
     rng: np.random.Generator,
-    weight_observer=None,
 ) -> FixedLagAccumulator:
     """Run the extended bootstrap filter and accumulate fixed-lag moments.
 
@@ -231,10 +230,6 @@ def run_extended_bootstrap(
     ``config.theta``, the state propagates under it, and particles are
     weighted by the observation density.  Read-off for time ``t`` happens at
     step ``min(t + lag, T)``; remaining slots are flushed at the final step.
-
-    ``weight_observer``, when given, is called as ``observer(step, weights)``
-    with the 1-based step and that step's normalized weights (a diagnostics
-    hook; it must not mutate the array).
     """
     ys = np.asarray(ys)
     horizon = ys.shape[0]
@@ -311,8 +306,6 @@ def run_extended_bootstrap(
         w, lse = kernels.normalize_log_weights(logw)
         loglik += lse - (math.log(n) if log_prev is None else 0.0)
         ess_trace[u] = 1.0 / float(w @ w)
-        if weight_observer is not None:
-            weight_observer(u + 1, w)
 
         if lag:
             new = (u + 1) % slots

@@ -6,13 +6,14 @@ evaluable (the particle filter needs them for weighting).  The scalar
 AR(1)-plus-noise model is the reference case: the Kalman recursion gives its
 exact likelihood, and the same recursion carried forward with first and
 second derivatives gives its exact score and observed information, which is
-what the acceptance checks compare against.
+what the acceptance checks compare against.  The cubic-shock AR(1) is the
+same wiring with its transition sampler swapped.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
@@ -151,22 +152,6 @@ class _ParamMap:
         return tuple(out)
 
 
-def _gaussian_obs(pmap: _ParamMap):
-    """Fresh ``(obs_logdensity, obs_sampler)`` for ``y = x + sigma_w w``,
-    with w standard normal."""
-
-    def obs_logdensity(y, states, thetas):
-        _, _, sw = pmap.raw(thetas)
-        e = (y - states) / sw
-        return -0.5 * (np.log(2.0 * np.pi) + e * e) - np.log(sw)
-
-    def obs_sampler(states, thetas, rng):
-        _, _, sw = pmap.raw(thetas)
-        return states + sw * rng.standard_normal(states.shape[0])
-
-    return obs_logdensity, obs_sampler
-
-
 @dataclass(frozen=True)
 class LinearGaussianSSM:
     """Scalar AR(1) state plus Gaussian observation noise.
@@ -234,7 +219,15 @@ class LinearGaussianSSM:
             phi, sv, _ = pmap.raw(thetas)
             return phi * states + sv * rng.standard_normal(states.shape[0])
 
-        obs_logdensity, obs_sampler = _gaussian_obs(pmap)
+        def obs_logdensity(y, states, thetas):
+            _, _, sw = pmap.raw(thetas)
+            e = (y - states) / sw
+            return -0.5 * (np.log(2.0 * np.pi) + e * e) - np.log(sw)
+
+        def obs_sampler(states, thetas, rng):
+            _, _, sw = pmap.raw(thetas)
+            return states + sw * rng.standard_normal(states.shape[0])
+
         return StateSpaceModel(
             param_dim=self.param_dim,
             init_sampler=init_sampler,
@@ -304,24 +297,12 @@ def make_nonlinear_shock_model(
     """
     free = tuple(free)
     defaults = {name: 0.0 for name in ("log_sigma_v", "log_sigma_w") if name not in free}
-    pmap = _ParamMap(free, {**defaults, **(fixed or {})})
-
-    def shock(rng, n):
-        z = rng.standard_normal(n)
-        return (z + z**3 / 3.0) / _CUBIC_SHOCK_SCALE
-
-    def init_sampler(thetas, rng):
-        return init_mean + init_sd * rng.standard_normal(thetas.shape[0])
+    spec = LinearGaussianSSM(free, {**defaults, **(fixed or {})}, "fixed", init_mean, init_sd)
+    pmap = spec._pmap
 
     def transition_sampler(states, thetas, rng):
         phi, sv, _ = pmap.raw(thetas)
-        return phi * states + sv * shock(rng, states.shape[0])
+        z = rng.standard_normal(states.shape[0])
+        return phi * states + sv * ((z + z**3 / 3.0) / _CUBIC_SHOCK_SCALE)
 
-    obs_logdensity, obs_sampler = _gaussian_obs(pmap)
-    return StateSpaceModel(
-        param_dim=pmap.dim,
-        init_sampler=init_sampler,
-        transition_sampler=transition_sampler,
-        obs_logdensity=obs_logdensity,
-        obs_sampler=obs_sampler,
-    )
+    return replace(spec.state_space(), transition_sampler=transition_sampler)

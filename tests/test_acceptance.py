@@ -264,7 +264,8 @@ def test_criterion_08_smc_likelihood_sanity():
         assert abs(lls.mean() - exact) < 3 * se, (lls.mean() - exact, 3 * se)
 
 
-def test_criterion_09_flat_likelihood_exactness():
+def test_criterion_09_flat_likelihood_exactness(normalized_weights):
+    seen = normalized_weights
     with criterion(9, "constant observation density gives bitwise-uniform weights"):
         for n in (48, 100):
             flat = dfs.StateSpaceModel(
@@ -273,17 +274,11 @@ def test_criterion_09_flat_likelihood_exactness():
                 transition_sampler=lambda x, t, r: x + r.standard_normal(x.shape[0]),
                 obs_logdensity=lambda y, x, t: np.full(x.shape[0], -0.7),
             )
-            seen = []
+            seen.clear()
             cfg = ExtendedFilterConfig(
                 theta=np.array([0.3]), tau=0.1, kernel=K1, lag=2, n_particles=n
             )
-            dfs.run_extended_bootstrap(
-                flat,
-                np.zeros(8),
-                cfg,
-                rng=np.random.default_rng(n),
-                weight_observer=lambda step, w: seen.append(w.copy()),
-            )
+            dfs.run_extended_bootstrap(flat, np.zeros(8), cfg, rng=np.random.default_rng(n))
             assert len(seen) == 8
             for w in seen:
                 assert np.all(w == 1.0 / n)

@@ -1,5 +1,6 @@
 """CLI subcommands: exit codes, validation, reproducible output."""
 
+import csv
 import os
 import re
 import subprocess
@@ -451,4 +452,119 @@ def test_malformed_value_names_its_key(tmp_path, capsys, old, new, key):
     out = tmp_path / "bad.csv"
     assert main(["estimate", "--config", config, "--out", str(out)]) == EXIT_CONFIG
     assert f"(key: {key})" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "base, old, new, key",
+    [
+        (SMC_POINT, "kernel_sigmas = 1.0", "kernel_sigmas = 1.0\nloglik_source = smc",
+         "estimator.loglik_source"),
+        (SMC_POINT, "kernel_sigmas = 1.0", "kernel_sigmas = 1.0\nfd_particles = 7",
+         "estimator.fd_particles"),
+        (FD_SMC_POINT, "fd_particles = 50", "fd_particles = 50\ness_threshold = 0.5",
+         "estimator.ess_threshold"),
+        (IS_POINT, "kernel_sigmas = 1.0", "kernel_sigmas = 1.0\nresampling = systematic",
+         "estimator.resampling"),
+        (QUAD_POINT, "kernel_sigmas = 1.0", "kernel_sigmas = 1.0\nfd_particles = 7",
+         "estimator.fd_particles"),
+    ],
+    ids=[
+        "loglik-source-on-smc", "fd-particles-on-smc", "ess-threshold-on-fd",
+        "resampling-on-is", "fd-particles-on-quad",
+    ],
+)
+def test_key_the_method_does_not_read_is_a_config_error(tmp_path, capsys, base, old, new, key):
+    # these keys used to be ignored, and the run exited 0
+    assert base.count(old) == 1
+    config = write(tmp_path, base.replace(old, new), "bad.ini")
+    out = tmp_path / "bad.csv"
+    assert main(["estimate", "--config", config, "--out", str(out)]) == EXIT_CONFIG
+    assert f"(key: {key})" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_keys_the_method_reads_are_accepted(tmp_path):
+    smc = SMC_POINT.replace(
+        "kernel_sigmas = 1.0", "kernel_sigmas = 1.0\nresampling = systematic\ness_threshold = 0.5"
+    )
+    fd = FD_SMC_POINT.replace("fd_particles = 50", "fd_particles = 50\nresampling = systematic")
+    for name, text in (("smc", smc), ("fd", fd)):
+        config = write(tmp_path, text, f"{name}.ini")
+        assert main(["estimate", "--config", config, "--out", str(tmp_path / f"{name}.csv")]) == EXIT_OK
+
+
+DATA_POINT = SMC_POINT.replace("theta_true = 0.5\ndata_seed = 3\nhorizon = 8\n", "data_csv = {data}\n")
+
+
+@pytest.mark.parametrize(
+    "extra, key",
+    [
+        ("theta_true = 0.5, 9, 9", "model.theta_true"),
+        ("data_seed = 3", "model.data_seed"),
+        ("horizon = 8", "model.horizon"),
+        ("", None),
+    ],
+    ids=["theta-true", "data-seed", "horizon", "file-alone"],
+)
+def test_simulation_key_next_to_data_csv_is_a_config_error(tmp_path, capsys, extra, key):
+    # next to a readable file these keys used to be ignored, and the run exited 0
+    data = tmp_path / "ys.csv"
+    data.write_text("t,y\n1,0.3\n2,-0.1\n3,0.4\n")
+    text = DATA_POINT.format(data=data).replace("init_sd = 1.0", f"init_sd = 1.0\n{extra}")
+    config = write(tmp_path, text, "data.ini")
+    out = tmp_path / "data.csv"
+    code = main(["estimate", "--config", config, "--out", str(out)])
+    if key is None:
+        assert code == EXIT_OK
+        assert len(out.read_text().splitlines()) == 1 + 2
+    else:
+        assert code == EXIT_CONFIG
+        assert f"(key: {key})" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("log_sigma_v = 0.0\n", "", "model.free"),
+        ("theta_true = 0.5", "theta_true = 0.5, 9", "model.theta_true"),
+    ],
+    ids=["scale-neither-free-nor-fixed", "theta-true-too-long"],
+)
+def test_lgssm_parameter_count_mismatch_is_a_config_error(tmp_path, capsys, old, new, key):
+    assert SMC_POINT.count(old) == 1
+    config = write(tmp_path, SMC_POINT.replace(old, new), "bad.ini")
+    out = tmp_path / "bad.csv"
+    assert main(["estimate", "--config", config, "--out", str(out)]) == EXIT_CONFIG
+    assert f"(key: {key})" in capsys.readouterr().err
+    assert not out.exists()
+
+
+TAU_RULE_SWEEP = IS_SWEEP.replace("tau = 0.2, 0.1\nn = 500", "tau_rule = n^(-1/3)\nn = 100, 400, 1600")
+SLOPE_LINE = r"log-log MSE slope vs {}: -?\d+\.\d{{4}} \+/- \d+\.\d{{4}} \(3 points\)"
+
+
+@pytest.mark.parametrize("command", ["sweep-n", "sweep-tau"])
+def test_tau_rule_grid_couples_tau_to_n(tmp_path, capsys, command):
+    # under a tau_rule, sweep-tau sweeps the n axis too
+    config = write(tmp_path, TAU_RULE_SWEEP, "rule.ini")
+    out = tmp_path / "rule.csv"
+    assert main([command, "--config", config, "--out", str(out)]) == EXIT_OK
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3 * 2
+    assert {int(row["n_particles"]) for row in rows} == {100, 400, 1600}
+    for row in rows:
+        assert float(row["tau"]) == float(row["n_particles"]) ** (-1 / 3)
+    x_field = "tau" if command == "sweep-tau" else "n_particles"
+    assert re.search(SLOPE_LINE.format(x_field), capsys.readouterr().out)
+
+
+def test_sweep_tau_under_a_tau_rule_needs_two_n_points(tmp_path, capsys):
+    text = TAU_RULE_SWEEP.replace("n = 100, 400, 1600", "n = 100")
+    config = write(tmp_path, text, "rule.ini")
+    out = tmp_path / "rule.csv"
+    assert main(["sweep-tau", "--config", config, "--out", str(out)]) == EXIT_CONFIG
+    assert "(key: grid.n)" in capsys.readouterr().err
     assert not out.exists()

@@ -11,6 +11,7 @@ import pytest
 from dfscore.harness import (
     MODEL_KINDS,
     RUN_RECORD_FIELDS,
+    SOURCES,
     COMPARE_TABLE_FIELDS,
     ConfigError,
     ExperimentConfig,
@@ -232,10 +233,11 @@ def test_every_schema_row_rejects_a_bad_value_on_its_key(tmp_path, section, key)
 
 def test_readme_key_table_matches_the_schema():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
-    table = re.findall(r"^\| `(\w+\.\w+)` \| (.+?) \| (.+?) \|$", readme, re.M)
+    table = re.findall(r"^\| `(\w+\.\w+)` \| (.+?) \| (.+?) \| (.+?) \|$", readme, re.M)
     kinds = lambda row: "all" if row.kinds == MODEL_KINDS else ", ".join(row.kinds)
+    methods = lambda row: "all" if row.methods == SOURCES else ", ".join(row.methods)
     assert table == [
-        (f"{section}.{key}", kinds(row), row.rule)
+        (f"{section}.{key}", kinds(row), methods(row), row.rule)
         for section, rows in _SCHEMA.items()
         for key, row in rows.items()
     ]

@@ -147,17 +147,11 @@ def test_multinomial_offspring_count_variance():
 # ---------------------------------------------------------------------------
 
 
-def test_flat_observation_density_gives_uniform_weights_bitwise():
+def test_flat_observation_density_gives_uniform_weights_bitwise(normalized_weights):
     n = 48
-    seen = []
+    seen = normalized_weights
     cfg = ExtendedFilterConfig(theta=np.array([0.2]), tau=0.1, kernel=K1, lag=2, n_particles=n)
-    dfs.run_extended_bootstrap(
-        flat_ssm(),
-        np.zeros(6),
-        cfg,
-        rng=np.random.default_rng(0),
-        weight_observer=lambda step, w: seen.append(w.copy()),
-    )
+    dfs.run_extended_bootstrap(flat_ssm(), np.zeros(6), cfg, rng=np.random.default_rng(0))
     assert len(seen) == 6
     for w in seen:
         assert np.all(w == 1.0 / n)

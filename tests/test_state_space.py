@@ -329,6 +329,41 @@ def test_nonlinear_shock_model_smoke():
     assert np.all(np.isfinite(logg))
 
 
+@pytest.mark.parametrize(
+    "free, fixed, lgssm_fixed",
+    [
+        (("phi",), {}, {"log_sigma_v": 0.0, "log_sigma_w": 0.0}),
+        (("phi", "log_sigma_w"), {"log_sigma_v": 0.3}, {"log_sigma_v": 0.3}),
+        (("log_sigma_w", "phi", "log_sigma_v"), {}, {}),
+    ],
+)
+def test_nonlinear_shock_model_shares_the_lgssm_init_and_observations(free, fixed, lgssm_fixed):
+    # only the transition sampler differs from the fixed-init LGSSM
+    cubic = make_nonlinear_shock_model(free, fixed, init_mean=0.4, init_sd=1.7)
+    lgssm = LinearGaussianSSM(free, lgssm_fixed, "fixed", 0.4, 1.7).state_space()
+    rng = np.random.default_rng(5)
+    thetas = rng.normal(scale=0.5, size=(64, len(free)))
+    states = rng.standard_normal(64)
+
+    def draws(model, name, *args):
+        return getattr(model, name)(*args, np.random.default_rng(11))
+
+    assert cubic.param_dim == lgssm.param_dim == len(free)
+    np.testing.assert_array_equal(
+        draws(cubic, "init_sampler", thetas), draws(lgssm, "init_sampler", thetas)
+    )
+    np.testing.assert_array_equal(
+        cubic.obs_logdensity(0.3, states, thetas), lgssm.obs_logdensity(0.3, states, thetas)
+    )
+    np.testing.assert_array_equal(
+        draws(cubic, "obs_sampler", states, thetas), draws(lgssm, "obs_sampler", states, thetas)
+    )
+    assert not np.array_equal(
+        draws(cubic, "transition_sampler", states, thetas),
+        draws(lgssm, "transition_sampler", states, thetas),
+    )
+
+
 def test_nonlinear_shock_noise_is_standardized():
     # the cubic-warped shock is scaled to unit variance
     model = make_nonlinear_shock_model(
