@@ -62,7 +62,10 @@ _SWEEP_AXIS = {"sweep-tau": "tau", "sweep-n": "n", "sweep-lag": "delta"}
 
 def _check_grids(config, command) -> None:
     """``estimate`` takes one point per grid, a sweep at least two on its
-    axis; under a tau_rule the tau axis is the n axis."""
+    axis; under a tau_rule the tau axis is the n axis.  ``compare-fd``
+    needs two replications for its variances."""
+    if command == "compare-fd" and config.replications < 2:
+        raise ConfigError("compare-fd needs two or more replications", key="run.replications")
     axis = _SWEEP_AXIS.get(command)
     if axis == "tau" and config.tau_rule:
         axis = "n"
@@ -77,7 +80,7 @@ def _check_grids(config, command) -> None:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = load_config(args.config)
+        config = load_config(args.config, compare=args.command == "compare-fd")
         if args.seed is not None:
             config = replace(config, base_seed=args.seed)
         if args.command == "oracle":

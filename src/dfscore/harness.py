@@ -158,7 +158,6 @@ class ExperimentConfig:
     resampling: str
     ess_threshold: Optional[float]
     loglik_source: str
-    fd_particles: Optional[int]
     taus: tuple
     ns: tuple
     deltas: tuple
@@ -275,9 +274,6 @@ _SCHEMA = {
         "loglik_source": _Key("loglik_source", str, "exact",
                               lambda v: v in ("exact", "smc"), "exact or smc",
                               methods=("fd",)),
-        "fd_particles": _Key("fd_particles", _or_none(int), None,
-                             lambda v: v is None or v >= 2, "blank or >= 2",
-                             methods=("fd",)),
     },
     "grid": {
         "tau": _Key("taus", _list(float), (0.1,), _each(lambda v: 0 <= v < math.inf),
@@ -304,8 +300,10 @@ _SCHEMA = {
 }
 
 
-def load_config(path) -> ExperimentConfig:
-    """Parse an experiment config file; ExperimentConfig checks the values."""
+def load_config(path, compare: bool = False) -> ExperimentConfig:
+    """Parse an experiment config file; ExperimentConfig checks the values.
+    A key given in the file must be read by the method or, with ``compare``,
+    by a method ``compare_fd`` runs, which sets ``loglik_source`` itself."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     if not parser.read(path):
         raise ConfigError(f"cannot read config file {path}")
@@ -332,10 +330,13 @@ def load_config(path) -> ExperimentConfig:
     if values["tau_rule"] and parser.has_option("grid", "tau"):
         raise ConfigError("give either a tau grid or a tau_rule", key="grid.tau_rule")
     config = ExperimentConfig(model_params=model_params, **values)
-    source = config.method.partition("-")[0]
+    runs = _compare_pair(config) if compare else (config,)
+    methods = " or ".join(run.method for run in runs)
     for name, row in given:
-        if source not in row.methods:
-            raise ConfigError(f"{name} does not apply to method {config.method}", key=name)
+        if compare and row.field == "loglik_source":
+            raise ConfigError("compare-fd picks loglik_source by model kind", key=name)
+        if not any(run.method.partition("-")[0] in row.methods for run in runs):
+            raise ConfigError(f"{name} does not apply to method {methods}", key=name)
     return config
 
 
@@ -568,11 +569,9 @@ def _fd_estimate(task: _Task, target: str) -> list:
     config, bundle = task.config, task.bundle
     loglik = bundle.loglik_point
     if config.loglik_source == "smc":
-        n_fd = config.fd_particles or task.point.n
-
         def loglik(th, rng):
             return bootstrap_loglik(
-                bundle.ssm, bundle.ys, th, n_fd, rng, resampling=config.resampling
+                bundle.ssm, bundle.ys, th, task.point.n, rng, resampling=config.resampling
             )
 
     fd = fd_score if target == "score" else fd_info
@@ -632,7 +631,7 @@ class _Source(NamedTuple):
     what it needs of the model."""
 
     estimate: Callable  # (task, target) -> list of score / information arrays
-    columns: tuple  # of tau, h, delta, n_particles, fd_particles, oracle
+    columns: tuple  # of tau, h, delta, n_particles, oracle
     needs: tuple
 
 
@@ -644,7 +643,7 @@ _SOURCES = {
         _quad_estimate, ("tau", "oracle"), (_GENERAL, _AT_MOST_2D, _KERNEL, _TAU)
     ),
     # FD on SMC likelihoods reports the particles per stencil node
-    "fd": _Source(_fd_estimate, ("h", "fd_particles", "oracle"), (_LOGLIK,)),
+    "fd": _Source(_fd_estimate, ("h", "n_particles", "oracle"), (_LOGLIK,)),
     "smc": _Source(
         _smc_estimate, ("tau", "delta", "n_particles", "oracle"), (_SSM, _KERNEL, _TAU)
     ),
@@ -653,11 +652,12 @@ _SOURCES = {
 
 
 def _grid_cells(columns: tuple, config: ExperimentConfig, point: _GridPoint) -> dict:
-    """The tau/h/delta/n_particles cells of a run's rows; unlisted ones are None."""
+    """The tau/h/delta/n_particles cells of a run's rows; unlisted ones are
+    None, and exact FD leaves n_particles blank."""
     grid = {"tau": point.tau, "h": point.h, "delta": point.delta, "n_particles": point.n}
     cells = {name: grid[name] if name in columns else None for name in grid}
-    if "fd_particles" in columns and config.loglik_source == "smc":
-        cells["n_particles"] = config.fd_particles or point.n
+    if config.method.startswith("fd-") and config.loglik_source == "exact":
+        cells["n_particles"] = None
     return cells
 
 
@@ -829,35 +829,37 @@ def fit_rate_slope(records, x_field: str, y_transform: str = "mse") -> SlopeFit:
 # ---------------------------------------------------------------------------
 
 
+def _compare_pair(config: ExperimentConfig) -> tuple:
+    """The proposed and the FD configs that ``compare_fd`` runs.
+
+    For state-space models the proposed method is the extended filter with
+    ``smc_n`` particles, and each FD stencil node gets a bootstrap
+    likelihood estimate with ``smc_n // (#nodes)`` particles, so both sides
+    spend the same number of particle passes.  For general models the
+    proposed method is importance sampling with ``smc_n`` draws, and FD
+    evaluates the exact log-likelihood.
+    """
+    target = config.compare_target
+    is_ssm = config.model_kind in _SSM_KINDS
+    fd_n = max(2, config.compare_smc_n // len(_fd_stencil(len(config.theta), target)))
+    proposed = ("smc-" if is_ssm else "is-") + target
+    return (
+        replace(config, method=proposed, ns=(config.compare_smc_n,)),
+        replace(config, method="fd-" + target, loglik_source="smc" if is_ssm else "exact",
+                ns=(fd_n,)),
+    )
+
+
 def compare_fd(config: ExperimentConfig, threads: int = 1):
     """Run FD and the proposed estimator at matched likelihood budget.
 
-    For state-space models the proposed method is the extended filter and
-    each FD stencil node gets a bootstrap likelihood estimate with
-    ``smc_n / (#nodes)`` particles, so both sides spend the same number of
-    particle passes.  For general models the proposed method is importance
-    sampling and FD evaluates the exact log-likelihood (its variance column
-    is then exactly zero).  Returns ``(records, table_rows)`` where the
-    table aggregates per-method bias, variance and MSE per component plus
-    the FD/proposed variance ratio.
+    ``_compare_pair`` builds the two configs; on a general model the FD
+    variance column is exactly zero.  Returns ``(records, table_rows)``
+    where the table aggregates per-method bias, variance and MSE per
+    component plus the FD/proposed variance ratio.
     """
-    target = config.compare_target
-    n_nodes = len(_fd_stencil(len(config.theta), target))
-    fd_n = max(2, config.compare_smc_n // n_nodes)
-    is_ssm = config.model_kind in _SSM_KINDS
-    proposed = ("smc-" if is_ssm else "is-") + target
-    fd_method = "fd-" + target
-    proposed_cfg = replace(config, method=proposed, ns=(config.compare_smc_n,))
-    fd_cfg = replace(
-        config,
-        method=fd_method,
-        loglik_source="smc" if is_ssm else "exact",
-        fd_particles=fd_n,
-        ns=(config.compare_smc_n,),
-    )
-    records = run_experiment(proposed_cfg, threads=threads) + run_experiment(
-        fd_cfg, threads=threads
-    )
+    runs = _compare_pair(config)
+    records = [r for run in runs for r in run_experiment(run, threads=threads)]
 
     def summary(method):
         """Table rows per component, variance_ratio still unset."""
@@ -883,8 +885,7 @@ def compare_fd(config: ExperimentConfig, threads: int = 1):
             }
         return rows
 
-    proposed_rows = summary(proposed)
-    fd_rows = summary(fd_method)
+    proposed_rows, fd_rows = (summary(run.method) for run in runs)
     table = list(fd_rows.values()) + list(proposed_rows.values())
     for row in table:
         comp = (row["comp_i"], row["comp_j"])

@@ -113,45 +113,6 @@ class ParameterNameError(ValueError):
     """``free`` and ``fixed`` do not name each model parameter exactly once."""
 
 
-class _ParamMap:
-    """Maps an unconstrained parameter vector onto (phi, sigma_v, sigma_w).
-
-    ``free`` names the coordinates exposed in theta (in order); the rest are
-    pinned in ``fixed``.  phi enters by identity, scales via log.
-    """
-
-    def __init__(self, free, fixed):
-        free = tuple(free)
-        for name in free:
-            if name not in PARAM_NAMES:
-                raise ParameterNameError(f"unknown parameter name {name!r}")
-        if len(set(free)) != len(free):
-            raise ParameterNameError("duplicate names in free")
-        for name in fixed:
-            if name not in PARAM_NAMES:
-                raise ParameterNameError(f"unknown parameter name {name!r}")
-        missing = [n for n in PARAM_NAMES if n not in free and n not in fixed]
-        if missing:
-            raise ParameterNameError(f"parameters neither free nor fixed: {missing}")
-        self.free = free
-        self.fixed = dict(fixed)
-
-    @property
-    def dim(self) -> int:
-        return len(self.free)
-
-    def raw(self, thetas: np.ndarray):
-        """(phi, sigma_v, sigma_w) broadcast over the rows of ``thetas``."""
-        out = []
-        for name in PARAM_NAMES:
-            if name in self.free:
-                value = thetas[..., self.free.index(name)]
-            else:
-                value = np.float64(self.fixed[name])
-            out.append(np.exp(value) if name.startswith("log_") else value)
-        return tuple(out)
-
-
 @dataclass(frozen=True)
 class LinearGaussianSSM:
     """Scalar AR(1) state plus Gaussian observation noise.
@@ -173,18 +134,43 @@ class LinearGaussianSSM:
             raise ValueError("init must be 'stationary' or 'fixed'")
         if self.init == "fixed" and self.init_sd <= 0.0:
             raise ValueError("init_sd must be > 0")
-        object.__setattr__(self, "_pmap", _ParamMap(self.free, self.fixed))
+        free = tuple(self.free)
+        for name in free:
+            if name not in PARAM_NAMES:
+                raise ParameterNameError(f"unknown parameter name {name!r}")
+        if len(set(free)) != len(free):
+            raise ParameterNameError("duplicate names in free")
+        for name in self.fixed:
+            if name not in PARAM_NAMES:
+                raise ParameterNameError(f"unknown parameter name {name!r}")
+        missing = [n for n in PARAM_NAMES if n not in free and n not in self.fixed]
+        if missing:
+            raise ParameterNameError(f"parameters neither free nor fixed: {missing}")
+        object.__setattr__(self, "free", free)
+        object.__setattr__(self, "fixed", dict(self.fixed))
 
     @property
     def param_dim(self) -> int:
-        return self._pmap.dim
+        return len(self.free)
+
+    def _raw(self, thetas: np.ndarray):
+        """(phi, sigma_v, sigma_w) broadcast over the rows of ``thetas``: the
+        ``free`` columns in order, ``fixed`` for the rest; scales enter via log."""
+        out = []
+        for name in PARAM_NAMES:
+            if name in self.free:
+                value = thetas[..., self.free.index(name)]
+            else:
+                value = np.float64(self.fixed[name])
+            out.append(np.exp(value) if name.startswith("log_") else value)
+        return tuple(out)
 
     def params(self, theta):
         """Scalar (phi, sigma_v, sigma_w) at a single parameter vector."""
         theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
         if theta.shape != (self.param_dim,):
             raise ValueError(f"theta must have shape ({self.param_dim},)")
-        phi, sv, sw = self._pmap.raw(theta)
+        phi, sv, sw = self._raw(theta)
         self._check_phi(phi)
         return float(phi), float(sv), float(sw)
 
@@ -202,10 +188,9 @@ class LinearGaussianSSM:
 
     def state_space(self) -> StateSpaceModel:
         """The sampling interface used by the particle filter."""
-        pmap = self._pmap
 
         def init_sampler(thetas, rng):
-            phi, sv, _ = pmap.raw(thetas)
+            phi, sv, _ = self._raw(thetas)
             self._check_phi(phi)
             if self.init == "stationary":
                 sd0 = sv / np.sqrt(1.0 - phi**2)
@@ -216,16 +201,16 @@ class LinearGaussianSSM:
             return m0 + sd0 * rng.standard_normal(thetas.shape[0])
 
         def transition_sampler(states, thetas, rng):
-            phi, sv, _ = pmap.raw(thetas)
+            phi, sv, _ = self._raw(thetas)
             return phi * states + sv * rng.standard_normal(states.shape[0])
 
         def obs_logdensity(y, states, thetas):
-            _, _, sw = pmap.raw(thetas)
+            _, _, sw = self._raw(thetas)
             e = (y - states) / sw
             return -0.5 * (np.log(2.0 * np.pi) + e * e) - np.log(sw)
 
         def obs_sampler(states, thetas, rng):
-            _, _, sw = pmap.raw(thetas)
+            _, _, sw = self._raw(thetas)
             return states + sw * rng.standard_normal(states.shape[0])
 
         return StateSpaceModel(
@@ -298,10 +283,9 @@ def make_nonlinear_shock_model(
     free = tuple(free)
     defaults = {name: 0.0 for name in ("log_sigma_v", "log_sigma_w") if name not in free}
     spec = LinearGaussianSSM(free, {**defaults, **(fixed or {})}, "fixed", init_mean, init_sd)
-    pmap = spec._pmap
 
     def transition_sampler(states, thetas, rng):
-        phi, sv, _ = pmap.raw(thetas)
+        phi, sv, _ = spec._raw(thetas)
         z = rng.standard_normal(states.shape[0])
         return phi * states + sv * ((z + z**3 / 3.0) / _CUBIC_SHOCK_SCALE)
 

@@ -1,8 +1,11 @@
-"""The public names: every export resolves and the package exports what it imports."""
+"""The public names: every export resolves, the package exports what it imports,
+and the README's library quick start runs as written."""
 
 import ast
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import dfscore
 
@@ -27,3 +30,12 @@ def test_every_export_resolves_and_the_package_exports_its_imports():
         for alias in node.names
     }
     assert set(dfscore.__all__) == imported
+
+
+def test_readme_library_quick_start_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["oracle"].score.shape == (2,)

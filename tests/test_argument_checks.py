@@ -85,6 +85,12 @@ ARGUMENT_CHECKS = {
         ),
         "model and kernel dimensions differ",
     ),
+    "quadrature-tau-zero": (
+        lambda: dfs.posterior_moments_quadrature(
+            gaussian_location_model(dim=1), np.zeros(1), 0.0, K1
+        ),
+        "tau must be > 0",
+    ),
     "score-tau-zero": (
         lambda: dfs.score_from_moments(MOMENTS, np.zeros(1), 0.0, K1), "tau must be > 0"
     ),
@@ -101,6 +107,7 @@ ARGUMENT_CHECKS = {
         lambda: K1.sample(np.zeros(2), 0.1, RNG(0)), r"center has shape \(2,\)"
     ),
     "kernel-no-stream": (lambda: K1.sample(np.zeros(1), 0.1), "either rng or z"),
+    "kernel-tau-negative": (lambda: K1.sample(np.zeros(1), -0.1, RNG(0)), "tau must be >= 0"),
     "info-not-square": (lambda: dfs.InfoEstimate(np.zeros((2, 3))), "must be square"),
     "info-not-symmetric": (
         lambda: dfs.InfoEstimate(np.array([[1.0, 2.0], [3.0, 1.0]])), "exactly symmetric"

@@ -148,7 +148,7 @@ ONE_THETA_2D = CONJUGATE_2D.replace("kernel_sigmas = 1.0", "kernel_sigmas = 1.0,
 UNKNOWN_FREE_NAME = SMC_POINT.replace("free = phi", "free = phi, foo")
 # FD on a particle-filter likelihood needs a state-space model
 FD_SMC_ON_CONJUGATE = IS_SWEEP.replace("tau = 0.2, 0.1", "tau = 0.1").replace(
-    "method = is-score", "method = fd-score\nloglik_source = smc\nfd_particles = 50"
+    "method = is-score", "method = fd-score\nloglik_source = smc"
 )
 FD_SMC_ON_POISSON = FD_SMC_ON_CONJUGATE.replace(
     "kind = conjugate-gaussian\ndim = 1", "kind = poisson\ny = 3"
@@ -302,8 +302,8 @@ FD_POINT = IS_POINT.replace("method = is-score", "method = fd-score")
 STATIONARY_POINT = SMC_POINT.replace("init = fixed\ninit_sd = 1.0", "init = stationary")
 POISSON_ESTIMATE = POISSON_POINT.replace("tau = 0.2, 0.1", "tau = 0.1")
 FD_SMC_POINT = SMC_POINT.replace(
-    "method = smc-score", "method = fd-score\nloglik_source = smc\nfd_particles = 50"
-)
+    "method = smc-score", "method = fd-score\nloglik_source = smc"
+).replace("n = 200", "n = 50")
 
 
 @pytest.mark.parametrize(
@@ -316,7 +316,7 @@ FD_SMC_POINT = SMC_POINT.replace(
         (IS_POINT, "tau = 0.1", "tau = 0", "grid.tau"),
         (QUAD_POINT, "tau = 0.1", "tau = 0", "grid.tau"),
         (SMC_POINT, "tau = 0.1", "tau = 0", "grid.tau"),
-        (FD_SMC_POINT, "fd_particles = 50", "fd_particles = 1", "estimator.fd_particles"),
+        (FD_SMC_POINT, "n = 50", "n = 1", "grid.n"),
         (SMC_POINT, "tau = 0.1", "tau_rule = n^(-1/0)", "grid.tau_rule"),
         (IS_POINT, "dim = 1", "dim = 1\nobs_sd = 0", "model.obs_sd"),
         (IS_POINT, "dim = 1", "dim = 1\nobs_sd = -1", "model.obs_sd"),
@@ -431,6 +431,8 @@ def test_compare_smc_n_below_two_names_its_key(tmp_path, capsys):
         ("kernel_sigmas = 1.0", "kernel_sigmas = one", "estimator.kernel_sigmas"),
         ("kernel_sigmas = 1.0", "kernel_sigmas = 1.0\ness_threshold = abc",
          "estimator.ess_threshold"),
+        # fd_particles is no longer a key; this row and the two fd-particles rows of
+        # test_key_the_method_does_not_read_is_a_config_error meet the unknown-key rule
         ("kernel_sigmas = 1.0", "kernel_sigmas = 1.0\nfd_particles = x", "estimator.fd_particles"),
         ("tau = 0.1", "tau = 0.1, x", "grid.tau"),
         ("n = 200", "n = 2e2", "grid.n"),
@@ -462,7 +464,7 @@ def test_malformed_value_names_its_key(tmp_path, capsys, old, new, key):
          "estimator.loglik_source"),
         (SMC_POINT, "kernel_sigmas = 1.0", "kernel_sigmas = 1.0\nfd_particles = 7",
          "estimator.fd_particles"),
-        (FD_SMC_POINT, "fd_particles = 50", "fd_particles = 50\ness_threshold = 0.5",
+        (FD_SMC_POINT, "loglik_source = smc", "loglik_source = smc\ness_threshold = 0.5",
          "estimator.ess_threshold"),
         (IS_POINT, "kernel_sigmas = 1.0", "kernel_sigmas = 1.0\nresampling = systematic",
          "estimator.resampling"),
@@ -488,10 +490,64 @@ def test_keys_the_method_reads_are_accepted(tmp_path):
     smc = SMC_POINT.replace(
         "kernel_sigmas = 1.0", "kernel_sigmas = 1.0\nresampling = systematic\ness_threshold = 0.5"
     )
-    fd = FD_SMC_POINT.replace("fd_particles = 50", "fd_particles = 50\nresampling = systematic")
+    fd = FD_SMC_POINT.replace("loglik_source = smc", "loglik_source = smc\nresampling = systematic")
     for name, text in (("smc", smc), ("fd", fd)):
         config = write(tmp_path, text, f"{name}.ini")
         assert main(["estimate", "--config", config, "--out", str(tmp_path / f"{name}.csv")]) == EXIT_OK
+
+
+def test_removed_fd_particles_key_is_a_config_error(tmp_path, capsys):
+    # FD on SMC likelihoods takes its particles per node from grid.n; this
+    # config used to exit 0
+    text = FD_SMC_POINT.replace("loglik_source = smc", "loglik_source = smc\nfd_particles = 50")
+    config = write(tmp_path, text, "fd.ini")
+    out = tmp_path / "fd.csv"
+    assert main(["estimate", "--config", config, "--out", str(out)]) == EXIT_CONFIG
+    assert "(key: estimator.fd_particles)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+COMPARE_SSM = SMC_POINT + "\n[compare]\nsmc_n = 200\n"
+# smc-score reads ess_threshold, but compare-fd runs is-score on this model
+COMPARE_GENERAL = IS_POINT.replace("is-score", "smc-score") + "\n[compare]\nsmc_n = 500\n"
+
+
+@pytest.mark.parametrize("method", ["fd-score", "smc-score"])
+def test_compare_fd_judges_keys_by_the_methods_it_runs(tmp_path, method):
+    # the proposed smc side reads ess_threshold; under method = fd-score
+    # this config used to be a config error
+    text = COMPARE_SSM.replace("method = smc-score", f"method = {method}").replace(
+        "kernel_sigmas = 1.0", "kernel_sigmas = 1.0\nresampling = systematic\ness_threshold = 0.5"
+    )
+    config = write(tmp_path, text, "cmp.ini")
+    out = tmp_path / "cmp.csv"
+    assert main(["compare-fd", "--config", config, "--out", str(out)]) == EXIT_OK
+    assert len(out.read_text().splitlines()) == 1 + 2  # fd and smc score rows
+
+
+@pytest.mark.parametrize(
+    "base, old, new, key",
+    [
+        (COMPARE_SSM, "method = smc-score", "method = fd-score\nloglik_source = smc",
+         "estimator.loglik_source"),
+        (COMPARE_SSM, "method = smc-score", "method = fd-score\nloglik_source = exact",
+         "estimator.loglik_source"),
+        (COMPARE_GENERAL, "kernel_sigmas = 1.0", "kernel_sigmas = 1.0\ness_threshold = 0.5",
+         "estimator.ess_threshold"),
+        (COMPARE_SSM, "replications = 2", "replications = 1", "run.replications"),
+    ],
+    ids=["loglik-source-smc", "loglik-source-exact", "ess-threshold-on-is", "one-replication"],
+)
+def test_compare_fd_config_error(tmp_path, capsys, base, old, new, key):
+    # each of these configs used to exit 0: compare-fd overrode loglik_source,
+    # ignored an ess_threshold its is side does not read, and wrote a zero
+    # variance for a single replicate
+    assert base.count(old) == 1
+    config = write(tmp_path, base.replace(old, new), "cmp.ini")
+    out = tmp_path / "cmp.csv"
+    assert main(["compare-fd", "--config", config, "--out", str(out)]) == EXIT_CONFIG
+    assert f"(key: {key})" in capsys.readouterr().err
+    assert not out.exists()
 
 
 DATA_POINT = SMC_POINT.replace("theta_true = 0.5\ndata_seed = 3\nhorizon = 8\n", "data_csv = {data}\n")

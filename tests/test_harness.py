@@ -15,6 +15,7 @@ from dfscore.harness import (
     COMPARE_TABLE_FIELDS,
     ConfigError,
     ExperimentConfig,
+    RunRecord,
     build_model_bundle,
     compare_fd,
     derive_substream,
@@ -66,7 +67,6 @@ def base_config(**overrides):
         resampling="multinomial",
         ess_threshold=None,
         loglik_source="exact",
-        fd_particles=None,
         taus=(0.1,),
         ns=(2000,),
         deltas=(0,),
@@ -185,7 +185,6 @@ BAD_VALUES = {
     "estimator.resampling": ("bogus", "bogus"),
     "estimator.ess_threshold": ("0", 0.0),
     "estimator.loglik_source": ("bogus", "bogus"),
-    "estimator.fd_particles": ("1", 1),
     "grid.tau": ("inf", (math.inf,)),
     "grid.n": ("1", (1,)),
     "grid.delta": ("-1", (-1,)),
@@ -229,6 +228,21 @@ def test_every_schema_row_rejects_a_bad_value_on_its_key(tmp_path, section, key)
     with pytest.raises(ConfigError) as err:
         ExperimentConfig(**{**good.__dict__, **changes})
     assert err.value.key == f"{section}.{key}"
+
+
+@pytest.mark.parametrize(
+    "field, value, key",
+    [
+        ("replications", "3", "run.replications"),
+        ("taus", 0.1, "grid.tau"),
+        ("ess_threshold", "0.5", "estimator.ess_threshold"),
+    ],
+)
+def test_wrongly_typed_value_in_code_is_a_config_error(field, value, key):
+    # a check that cannot compare the value fails it instead of raising TypeError
+    with pytest.raises(ConfigError) as err:
+        replace(base_config(), **{field: value})
+    assert err.value.key == key
 
 
 def test_readme_key_table_matches_the_schema():
@@ -461,7 +475,6 @@ def test_every_method_row_layout_and_grid_cells(method, loglik_source, filled, l
         theta=(0.5, -0.1),
         kernel_sigmas=(1.0, 0.8),
         loglik_source=loglik_source,
-        fd_particles=40 if loglik_source == "smc" else None,
         taus=(0.1,),
         ns=(64,),
         deltas=(2,),
@@ -470,9 +483,8 @@ def test_every_method_row_layout_and_grid_cells(method, loglik_source, filled, l
     )
     records = run_experiment(config)
     assert len(records) == 2 * len(layout)
-    # FD on SMC likelihoods reports its particles per stencil node
-    fd_n = 40 if loglik_source == "smc" else 64
-    expected = {"tau": 0.1, "h": 0.05, "delta": 2, "n_particles": fd_n}
+    # FD on SMC likelihoods reports its particles per stencil node, the grid n
+    expected = {"tau": 0.1, "h": 0.05, "delta": 2, "n_particles": 64}
     for rep in range(2):
         rows = [r for r in records if r.run_id == f"{method}.g000.r{rep:04d}"]
         assert [(r.comp_i, r.comp_j) for r in rows] == layout
@@ -512,6 +524,19 @@ def test_slope_filters_nonpositive_with_warning():
     assert fit.n_filtered == 1
     with pytest.raises(ValueError):
         fit_loglog_slope([1.0, 2.0], [1.0, 2.0])
+
+
+def test_fit_rate_slope_skips_rows_without_an_estimate_or_an_oracle():
+    def row(n, estimate, oracle=0.0):
+        return RunRecord(
+            "r", 0, "is-score", 0.1, None, None, n, None, 1, None, estimate, oracle, None, None
+        )
+
+    kept = [row(n, 1.0 / n) for n in (10, 100, 1000)]
+    skipped = [row(10_000, None), row(100_000, 5.0, oracle=None)]
+    fit = fit_rate_slope(kept + skipped, "n_particles")
+    assert fit.n_points == 3
+    assert fit.slope == pytest.approx(-2.0, abs=1e-12)
 
 
 def test_fit_rate_slope_over_records():
