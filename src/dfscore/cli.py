@@ -89,9 +89,11 @@ def main(argv=None) -> int:
         if args.command == "compare-fd":
             records, table = compare_fd(config, threads=args.threads)
             write_compare_csv(table, args.out)
+            rows = len(table)
         else:
             records = run_experiment(config, threads=args.threads)
             write_records_csv(records, args.out, timings=args.timings)
+            rows = len(records)
     except ConfigError as exc:
         key = f" (key: {exc.key})" if exc.key else ""
         print(f"config error: {exc}{key}", file=sys.stderr)
@@ -99,7 +101,7 @@ def main(argv=None) -> int:
 
     produced = [r for r in records if r.error == ""]
     failed = [r for r in records if r.error != ""]
-    print(f"wrote {args.out}: {len(records)} rows ({len(failed)} failed)")
+    print(f"wrote {args.out}: {rows} rows ({len(failed)} failed)")
     if args.command in ("sweep-tau", "sweep-n") and produced:
         x_field = "tau" if args.command == "sweep-tau" else "n_particles"
         try:

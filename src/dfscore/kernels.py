@@ -90,7 +90,7 @@ def inverse_cdf_indices(cumw, positions):
     """
     idx = np.searchsorted(cumw, positions, side="left")
     last = np.searchsorted(cumw, cumw[-1], side="left")
-    return np.minimum(idx, last).astype(np.int64, copy=False)
+    return np.minimum(idx, last, out=idx).astype(np.int64, copy=False)
 
 
 def kalman_loglik_core(ys, phi, sv2, sw2, m0, p0):

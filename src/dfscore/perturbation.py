@@ -47,15 +47,18 @@ class PerturbationKernel:
     def sample(self, center, tau, rng=None, size=None, z=None):
         """Draw from the prior centered at ``center`` with scale ``tau``.
 
-        ``tau = 0`` is the degenerate point mass at the center.  ``z``
-        injects pre-drawn standard normals (shape ``(dim,)`` or
-        ``(size, dim)``) in place of drawing from ``rng``; tests use it to
-        check symmetry and scale identities exactly.
+        ``tau = 0`` is the degenerate point mass at the center: without
+        ``z`` the draw is a fill of ``center`` that consumes no randomness,
+        so ``rng`` is left as it was.  ``z`` injects pre-drawn standard
+        normals (shape ``(dim,)`` or ``(size, dim)``) in place of drawing
+        from ``rng``; tests use it to check symmetry and scale identities
+        exactly.
 
         Returns shape ``(dim,)`` when ``size`` is None, else ``(size, dim)``.
         A batch is the transpose of a C-contiguous ``(dim, size)`` buffer,
         so each coordinate's draws are contiguous; the values are those of
-        ``center + tau * (sigmas * z)`` bit for bit.
+        ``center + tau * (sigmas * z)`` bit for bit, except that a ``tau = 0``
+        fill keeps the sign of a zero in ``center``.
         """
         center = np.asarray(center, dtype=np.float64)
         if center.shape != (self.dim,):
@@ -68,6 +71,10 @@ class PerturbationKernel:
         if z is None:
             if rng is None:
                 raise ValueError("either rng or z must be supplied")
+            if tau == 0.0:
+                out = np.empty(shape[::-1]).T
+                out[...] = center
+                return out
             z = rng.standard_normal(shape)
         else:
             z = np.asarray(z, dtype=np.float64)

@@ -201,9 +201,10 @@ def resample(weights, scheme: str, rng: np.random.Generator) -> np.ndarray:
     given seed differ from theirs.)
     """
     weights = np.asarray(weights, dtype=np.float64)
-    if np.any(weights < 0.0) or not np.all(np.isfinite(weights)):
-        raise ValueError("weights must be finite and non-negative")
     total = weights.sum()
+    # a NaN fails the min test; +inf (alone or beside -inf) makes the sum inf or NaN
+    if not (weights.min() >= 0.0 and total < np.inf):
+        raise ValueError("weights must be finite and non-negative")
     if total <= 0.0:
         raise ValueError("weights must have positive sum")
     n = weights.shape[0]
@@ -298,10 +299,15 @@ def run_extended_bootstrap(
                 f"obs_logdensity returned shape {logg.shape} at step {u + 1}, "
                 f"expected ({n},)"
             )
-        if not np.all(logg < np.inf):
+        top = logg.max()  # NaN if any entry is NaN
+        if not top < np.inf:
             raise ValueError(f"obs_logdensity returned NaN or +inf at step {u + 1}")
-        logw = logg if log_prev is None else log_prev + logg
-        if np.max(logw) == -np.inf:
+        if log_prev is None:
+            logw = logg
+        else:
+            logw = log_prev + logg
+            top = logw.max()
+        if top == -np.inf:
             raise ParticleCollapseError(step=u + 1)
         w, lse = kernels.normalize_log_weights(logw)
         loglik += lse - (math.log(n) if log_prev is None else 0.0)
@@ -406,7 +412,8 @@ def bootstrap_loglik(
 
     Runs the extended filter with ``tau = 0`` (the prior degenerates to the
     point mass at ``theta``), which reduces it to the standard bootstrap
-    filter.
+    filter.  A ``tau = 0`` draw consumes no randomness, so ``rng`` feeds
+    only the model's dynamics and the resampler.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     config = ExtendedFilterConfig(

@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 PARAM_NAMES = ("phi", "log_sigma_v", "log_sigma_w")
+_LOG_2PI = np.log(2.0 * np.pi)
 
 
 class ParameterDomainError(ValueError):
@@ -153,24 +154,31 @@ class LinearGaussianSSM:
     def param_dim(self) -> int:
         return len(self.free)
 
-    def _raw(self, thetas: np.ndarray):
-        """(phi, sigma_v, sigma_w) broadcast over the rows of ``thetas``: the
-        ``free`` columns in order, ``fixed`` for the rest; scales enter via log."""
-        out = []
+    def _readers(self):
+        """One ``thetas -> value`` map for each of (phi, sigma_v, sigma_w),
+        broadcast over the rows of ``thetas``: a ``free`` column, or a
+        ``fixed`` value computed here once; scales enter via log."""
+        readers = []
         for name in PARAM_NAMES:
+            log_scale = name.startswith("log_")
             if name in self.free:
-                value = thetas[..., self.free.index(name)]
+                i = self.free.index(name)
+                if log_scale:
+                    readers.append(lambda thetas, i=i: np.exp(thetas[..., i]))
+                else:
+                    readers.append(lambda thetas, i=i: thetas[..., i])
             else:
                 value = np.float64(self.fixed[name])
-            out.append(np.exp(value) if name.startswith("log_") else value)
-        return tuple(out)
+                value = np.exp(value) if log_scale else value
+                readers.append(lambda thetas, value=value: value)
+        return tuple(readers)
 
     def params(self, theta):
         """Scalar (phi, sigma_v, sigma_w) at a single parameter vector."""
         theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
         if theta.shape != (self.param_dim,):
             raise ValueError(f"theta must have shape ({self.param_dim},)")
-        phi, sv, sw = self._raw(theta)
+        phi, sv, sw = (read(theta) for read in self._readers())
         self._check_phi(phi)
         return float(phi), float(sv), float(sw)
 
@@ -187,13 +195,20 @@ class LinearGaussianSSM:
         return self.init_mean, self.init_sd**2
 
     def state_space(self) -> StateSpaceModel:
-        """The sampling interface used by the particle filter."""
+        """The sampling interface used by the particle filter.
+
+        Each callable computes only the parameters it reads; a fixed one,
+        and the log of a fixed sigma_w, are computed once here.
+        """
+        phi_of, sv_of, sw_of = self._readers()
+        # log(exp(.)) of a fixed scale, the same float the free path takes
+        log_sw = None if "log_sigma_w" in self.free else np.log(sw_of(None))
 
         def init_sampler(thetas, rng):
-            phi, sv, _ = self._raw(thetas)
+            phi = phi_of(thetas)
             self._check_phi(phi)
             if self.init == "stationary":
-                sd0 = sv / np.sqrt(1.0 - phi**2)
+                sd0 = sv_of(thetas) / np.sqrt(1.0 - phi**2)
                 m0 = 0.0
             else:
                 sd0 = self.init_sd
@@ -201,17 +216,15 @@ class LinearGaussianSSM:
             return m0 + sd0 * rng.standard_normal(thetas.shape[0])
 
         def transition_sampler(states, thetas, rng):
-            phi, sv, _ = self._raw(thetas)
-            return phi * states + sv * rng.standard_normal(states.shape[0])
+            return phi_of(thetas) * states + sv_of(thetas) * rng.standard_normal(states.shape[0])
 
         def obs_logdensity(y, states, thetas):
-            _, _, sw = self._raw(thetas)
+            sw = sw_of(thetas)
             e = (y - states) / sw
-            return -0.5 * (np.log(2.0 * np.pi) + e * e) - np.log(sw)
+            return -0.5 * (_LOG_2PI + e * e) - (np.log(sw) if log_sw is None else log_sw)
 
         def obs_sampler(states, thetas, rng):
-            _, _, sw = self._raw(thetas)
-            return states + sw * rng.standard_normal(states.shape[0])
+            return states + sw_of(thetas) * rng.standard_normal(states.shape[0])
 
         return StateSpaceModel(
             param_dim=self.param_dim,
@@ -283,10 +296,10 @@ def make_nonlinear_shock_model(
     free = tuple(free)
     defaults = {name: 0.0 for name in ("log_sigma_v", "log_sigma_w") if name not in free}
     spec = LinearGaussianSSM(free, {**defaults, **(fixed or {})}, "fixed", init_mean, init_sd)
+    phi_of, sv_of, _ = spec._readers()
 
     def transition_sampler(states, thetas, rng):
-        phi, sv, _ = spec._raw(thetas)
         z = rng.standard_normal(states.shape[0])
-        return phi * states + sv * ((z + z**3 / 3.0) / _CUBIC_SHOCK_SCALE)
+        return phi_of(thetas) * states + sv_of(thetas) * ((z + z**3 / 3.0) / _CUBIC_SHOCK_SCALE)
 
     return replace(spec.state_space(), transition_sampler=transition_sampler)

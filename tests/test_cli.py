@@ -525,6 +525,15 @@ def test_compare_fd_judges_keys_by_the_methods_it_runs(tmp_path, method):
     assert len(out.read_text().splitlines()) == 1 + 2  # fd and smc score rows
 
 
+def test_compare_fd_reports_the_rows_it_wrote(tmp_path, capsys):
+    # one parameter and two replications per side: four run records, two rows
+    config = write(tmp_path, COMPARE_SSM, "cmp.ini")
+    out = tmp_path / "cmp.csv"
+    assert main(["compare-fd", "--config", config, "--out", str(out)]) == EXIT_OK
+    assert len(out.read_text().splitlines()) == 1 + 2
+    assert capsys.readouterr().out == f"wrote {out}: 2 rows (0 failed)\n"
+
+
 @pytest.mark.parametrize(
     "base, old, new, key",
     [

@@ -19,10 +19,18 @@ def test_construction_rejects_bad_sigmas(bad):
 
 
 def test_tau_zero_returns_center():
-    k = make_gaussian_kernel([1.0, 2.0])
-    center = np.array([3.0, -1.0])
-    out = k.sample(center, 0.0, np.random.default_rng(0), size=5)
-    assert np.all(out == center)
+    # a fill of the center, zero signs included, in the component-major
+    # layout, that takes nothing from the generator
+    k = make_gaussian_kernel([1.0, 2.0, 0.5])
+    center = np.array([3.0, -1.0, -0.0])
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for shape, size in (((3,), None), ((5, 3), 5)):
+        out = k.sample(center, 0.0, rng, size=size)
+        assert out.shape == shape
+        assert out.tobytes() == np.ascontiguousarray(np.broadcast_to(center, shape)).tobytes()
+        assert out.T.flags.c_contiguous
+        assert rng.bit_generator.state == state
 
 
 def test_injected_z_affine_map():

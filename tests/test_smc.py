@@ -15,7 +15,7 @@ import dfscore as dfs
 from dfscore import kernels
 from dfscore.harness import fit_loglog_slope
 from dfscore.models import gaussian_location_model
-from dfscore.smc import ExtendedFilterConfig, ParticleCollapseError, resample
+from dfscore.smc import RESAMPLING_SCHEMES, ExtendedFilterConfig, ParticleCollapseError, resample
 
 K1 = dfs.make_gaussian_kernel([1.0])
 
@@ -66,6 +66,23 @@ def test_multinomial_offspring_fractions():
     frac_even = np.mean(big % 2 == 0)
     se = np.sqrt(0.75 * 0.25 / n)
     assert abs(frac_even - 0.75) < 4 * se
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ([0.5, np.nan, 0.5], "finite and non-negative"),
+        ([0.5, np.inf, 0.5], "finite and non-negative"),
+        ([0.5, -np.inf, 0.5], "finite and non-negative"),
+        ([0.5, -0.25, 0.5], "finite and non-negative"),
+        ([0.0, 0.0, 0.0], "positive sum"),
+    ],
+    ids=["nan", "inf", "minus-inf", "negative", "zero-sum"],
+)
+def test_resample_weight_checks_name_the_fault(weights, message):
+    for scheme in RESAMPLING_SCHEMES:
+        with pytest.raises(ValueError, match=f"weights must (be|have) {message}"):
+            resample(np.array(weights), scheme, np.random.default_rng(0))
 
 
 def test_resample_rejects_bad_weights():
@@ -612,6 +629,29 @@ def test_bad_obs_logdensity_names_step_and_callable(bad):
         dfs.run_extended_bootstrap(broken, np.arange(4.0), cfg, rng=np.random.default_rng(0))
 
 
+@pytest.mark.parametrize(
+    "first, bad", [(-1.0, np.nan), (-1.0, np.inf), (-np.inf, np.inf)],
+    ids=["nan", "inf", "inf-on-zero-weight"],
+)
+def test_bad_obs_logdensity_on_carried_weights_names_step(first, bad):
+    # uniform weights and one zero weight both keep the ESS above n / 2, so
+    # step 3 adds its log-densities to log-weights carried from step 2
+    def obs_logdensity(y, x, t):
+        out = np.full(x.shape[0], -1.0)
+        if y == 0.0:
+            out[5] = first
+        if y == 2.0:
+            out[5] = bad
+        return out
+
+    broken = dataclasses.replace(flat_ssm(), obs_logdensity=obs_logdensity)
+    cfg = ExtendedFilterConfig(
+        theta=np.array([0.0]), tau=0.1, kernel=K1, lag=1, n_particles=16, ess_threshold=0.5
+    )
+    with pytest.raises(ValueError, match=r"obs_logdensity returned NaN or \+inf at step 3"):
+        dfs.run_extended_bootstrap(broken, np.arange(4.0), cfg, rng=np.random.default_rng(0))
+
+
 def test_ess_mode_with_zero_weights_raises_no_warning():
     # one particle always has zero weight and ESS = n - 1 never triggers
     # resampling, so the zero weight is carried from step to step
@@ -686,6 +726,39 @@ def test_tau_zero_reduces_to_plain_bootstrap():
     np.testing.assert_allclose(acc.means, np.tile(theta, (10, 1)), rtol=1e-14)
     np.testing.assert_allclose(acc.covariances, 0.0, atol=1e-20)
     assert np.isfinite(acc.loglik_estimate)
+
+
+def textbook_bootstrap_loglik(ssm, ys, theta, n, rng, scheme):
+    """Kitagawa's bootstrap filter at a fixed parameter: propagate, weight,
+    resample at every step; no parameter draw and no moment read-off."""
+    thetas = np.tile(theta, (n, 1))
+    loglik = 0.0
+    x = ssm.init_sampler(thetas, rng)
+    for u, y in enumerate(ys):
+        if u:
+            x = ssm.transition_sampler(x, thetas, rng)
+        logw = ssm.obs_logdensity(y, x, thetas)
+        top = logw.max()
+        w = np.exp(logw - top)
+        total = w.sum()
+        loglik += top + np.log(total) - math.log(n)
+        x = x[resample(w / total, scheme, rng)]
+    return loglik
+
+
+@settings(max_examples=30)
+@given(
+    horizon=st.integers(1, 12),
+    n=st.integers(2, 300),
+    scheme=st.sampled_from(RESAMPLING_SCHEMES),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bootstrap_loglik_is_the_textbook_filter_bitwise(horizon, n, scheme, seed):
+    ssm, ys = lgssm2_setup(horizon)
+    theta = np.array([0.6, -0.1])
+    got = dfs.bootstrap_loglik(ssm, ys, theta, n, np.random.default_rng(seed), scheme)
+    want = textbook_bootstrap_loglik(ssm, ys, theta, n, np.random.default_rng(seed), scheme)
+    assert got == want
 
 
 @pytest.mark.parametrize("route", ["filter", "is", "quadrature-2d"])
