@@ -201,7 +201,7 @@ class LinearGaussianSSM:
         and the log of a fixed sigma_w, are computed once here.
         """
         phi_of, sv_of, sw_of = self._readers()
-        # log(exp(.)) of a fixed scale, the same float the free path takes
+        # a fixed reader ignores thetas; log(exp(.)) is the float the free path takes
         log_sw = None if "log_sigma_w" in self.free else np.log(sw_of(None))
 
         def init_sampler(thetas, rng):
