@@ -49,7 +49,10 @@ class GeneralModel:
     finite values or ``-inf`` for impossible parameters.  The batch may be
     the transposed view of a component-major ``(dim, n)`` buffer: index it
     by column (``thetas[:, i]``), do not assume C order, and do not write
-    into it.
+    into it.  Sum over components column by column into an ``(n,)`` buffer,
+    not along axis 1 of the view, which is about 6× slower.  The 2-D
+    quadrature reuses one block array for all its calls, so do not keep a
+    reference to the batch.
 
     Importance sampling and quadrature call it on blocks of at most 2^15
     rows, so a row's value must not depend on the other rows in its batch.
@@ -152,7 +155,8 @@ def _grid_sums(model: GeneralModel, a0, a1, log_w0, log_w1, centre1: float):
     fit in ``kernels._BLOCK_ROWS`` nodes (16 rows of the 2001-point grid),
     and every block passes the same checks as a single call would.  A
     block's nodes are filled component-major, as a ``(2, nodes)`` buffer,
-    and passed as its ``(nodes, 2)`` transpose.
+    and passed as its ``(nodes, 2)`` transpose.  The buffer is written once
+    and reused by every block, which rewrites only the first coordinate.
 
     With ``W[i, j] = exp(L[i, j] - shift)`` for the log-posterior
     ``L = logl + log_w0[i] + log_w1[j]``, returns ``(rows, moments, cols)``:
@@ -177,12 +181,16 @@ def _grid_sums(model: GeneralModel, a0, a1, log_w0, log_w1, centre1: float):
     shift = -np.inf
     top_w1 = np.max(log_w1)
     weights = np.empty((step, m1))
+    nodes = np.empty(2 * step * m1)
+    points = nodes.reshape(2, step, m1)
+    points[1] = a1
     for start in range(0, m0, step):
         block = slice(start, min(start + step, m0))
         b = block.stop - start
-        points = np.empty((2, b, m1))
+        if b < step:  # the short last block: a C-ordered head of the same buffer
+            points = nodes[: 2 * b * m1].reshape(2, b, m1)
+            points[1] = a1
         points[0] = a0[block, None]
-        points[1] = a1
         logl, top = _evaluate_loglik(model, points.reshape(2, -1).T)
         if top == -np.inf:
             continue

@@ -27,15 +27,29 @@ def gaussian_location_model(y=0.0, obs_sd: float = 1.0, dim: int = 1) -> General
     ``l(theta) = sum_i -(theta_i - y_i)^2 / (2 obs_sd^2)`` plus constants;
     true score is ``(y - theta) / obs_sd^2`` and the observed information is
     ``I / obs_sd^2``.
+
+    The squares are summed one contiguous column of the component-major
+    batch at a time, so the value does not depend on the batch's layout.
     """
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
     y = np.broadcast_to(np.asarray(y, dtype=np.float64), (dim,)).copy()
-    if obs_sd <= 0.0:
-        raise ValueError("obs_sd must be > 0")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y must be finite")
+    if not 0.0 < obs_sd < math.inf:  # also true for NaN
+        raise ValueError("obs_sd must be > 0 and finite")
     const = -0.5 * dim * math.log(2.0 * math.pi * obs_sd**2)
 
     def log_likelihood(thetas: np.ndarray) -> np.ndarray:
-        diff = thetas - y
-        return const - 0.5 * np.sum(diff * diff, axis=1) / obs_sd**2
+        s = thetas[:, 0] - y[0]
+        s *= s
+        for i in range(1, dim):
+            diff = thetas[:, i] - y[i]
+            diff *= diff
+            s += diff
+        s *= 0.5
+        s /= obs_sd**2
+        return np.subtract(const, s, out=s)
 
     return GeneralModel(dim=dim, log_likelihood=log_likelihood)
 
@@ -65,6 +79,8 @@ def poisson_loglink_model(y: int) -> GeneralModel:
 
     True score is ``y - exp(theta)``, observed information ``exp(theta)``.
     """
+    if not float(y).is_integer():  # also true for NaN and inf
+        raise ValueError(f"y must be an integer count, got {y!r}")
     if y < 0:
         raise ValueError("y must be a non-negative count")
     const = -math.lgamma(y + 1)

@@ -131,7 +131,19 @@ ARGUMENT_CHECKS = {
     ),
     "params-theta-shape": (lambda: LINEAR.params(np.zeros(2)), r"theta must have shape \(1,\)"),
     "gaussian-obs-sd-zero": (lambda: gaussian_location_model(obs_sd=0.0), "obs_sd must be > 0"),
+    "gaussian-obs-sd-nan": (
+        lambda: gaussian_location_model(obs_sd=np.nan), "obs_sd must be > 0 and finite"
+    ),
+    "gaussian-obs-sd-inf": (
+        lambda: gaussian_location_model(obs_sd=np.inf), "obs_sd must be > 0 and finite"
+    ),
+    "gaussian-y-not-finite": (
+        lambda: gaussian_location_model(y=[0.0, np.inf], dim=2), "y must be finite"
+    ),
+    "gaussian-dim-zero": (lambda: gaussian_location_model(dim=0), "dim must be >= 1"),
     "poisson-negative-count": (lambda: poisson_loglink_model(-1), "non-negative count"),
+    "poisson-count-nan": (lambda: poisson_loglink_model(np.nan), "integer count, got nan"),
+    "poisson-count-fraction": (lambda: poisson_loglink_model(2.5), "integer count, got 2.5"),
 }
 
 

@@ -1,5 +1,6 @@
 """Importance-sampling estimators, FD baselines, and the quadrature oracle."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -415,6 +416,37 @@ def test_quadrature_2d_and_dim_guard():
         dfs.posterior_moments_quadrature(
             model3, np.zeros(3), 0.1, dfs.make_gaussian_kernel([1.0] * 3)
         )
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 9])
+def test_location_likelihood_bits_do_not_depend_on_layout(d):
+    rng = np.random.default_rng(d)
+    y, obs_sd = rng.normal(size=d), 0.7
+    model = gaussian_location_model(y=y, obs_sd=obs_sd, dim=d)
+    component_major = 3.0 * rng.normal(size=(d, 1001))
+    thetas = component_major.T
+    got = model.log_likelihood(thetas)
+    # the expression the column-wise sum replaced, on the layout dfscore passes
+    const = -0.5 * d * math.log(2.0 * math.pi * obs_sd**2)
+    diff = thetas - y
+    assert np.array_equal(got, const - 0.5 * np.sum(diff * diff, axis=1) / obs_sd**2)
+    rows = np.ascontiguousarray(thetas)
+    assert np.array_equal(model.log_likelihood(rows), got)
+    assert np.array_equal(model.log_likelihood(rows[3:900:7]), got[3:900:7])
+    assert np.array_equal(model.log_likelihood(thetas[::-2]), got[::-2])
+
+
+def test_quadrature_2d_conjugate_bits_are_pinned():
+    # float reprs of the 2-D quadrature's output, recorded before the
+    # column-wise likelihood and the reused node block; both must keep them
+    model = gaussian_location_model(y=[0.3, -0.7], obs_sd=1.0, dim=2)
+    kernel = dfs.make_gaussian_kernel([1.0, 2.5])
+    mom = dfs.posterior_moments_quadrature(model, np.array([0.5, -0.2]), 0.1, kernel)
+    assert mom.mean.tolist() == [0.49801980198019813, -0.229411764705882]
+    assert mom.covariance.tolist() == [
+        [0.009900990099009311, 9.619861369400736e-20],
+        [9.619861369400736e-20, 0.058823529411763706],
+    ]
 
 
 def _point_array_quadrature(model, theta, tau, kernel):
