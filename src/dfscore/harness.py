@@ -14,9 +14,9 @@ Every replication draws its random stream from
 ``numpy.random.SeedSequence((base_seed, grid_index, rep_index))``, which
 mixes the three words through SeedSequence's collision-resistant hash, so
 grid points and replications never share streams.  Runs are deterministic
-given the config and base seed: records are sorted before writing and float
-values are serialized with ``repr`` (shortest round-trip), so identical runs
-emit byte-identical CSV.  Wall-clock timings are kept on the records but
+given the config and base seed: records are sorted before writing and the
+one CSV writer (``results._write_csv``) gives floats their shortest
+round-trip ``repr``, so identical runs emit byte-identical CSV.  Wall-clock timings are kept on the records but
 written to the CSV only on request, because timing values are the one field
 that cannot reproduce.
 """
@@ -24,7 +24,6 @@ that cannot reproduce.
 from __future__ import annotations
 
 import configparser
-import csv
 import itertools
 import math
 import os
@@ -52,6 +51,7 @@ from .general import (
 )
 from .models import gaussian_location_model, poisson_loglink_model
 from .perturbation import PerturbationKernel, make_gaussian_kernel
+from .results import _write_csv
 from .smc import (
     RESAMPLING_SCHEMES,
     ExtendedFilterConfig,
@@ -385,23 +385,6 @@ def _check_theta(theta: np.ndarray, dim: int) -> None:
         )
 
 
-def _observations(path):
-    """The ``[model] data_csv`` file: one or more finite observations."""
-    try:
-        ys = load_observations(path)
-    except (OSError, ValueError, IndexError) as exc:
-        raise ConfigError(f"cannot read observations: {exc}", key="model.data_csv") from exc
-    if ys.size == 0:
-        raise ConfigError(f"{path} holds no observations", key="model.data_csv")
-    bad = np.flatnonzero(~np.isfinite(ys))
-    if bad.size:
-        raise ConfigError(
-            f"{path}: observation t={bad[0] + 1} is {ys[bad[0]]}, not finite",
-            key="model.data_csv",
-        )
-    return ys
-
-
 def build_model_bundle(config: ExperimentConfig) -> _ModelBundle:
     """The model, data and oracle the config describes.  Applies the rules
     that span several [model] keys; the table has checked each one."""
@@ -465,7 +448,10 @@ def build_model_bundle(config: ExperimentConfig) -> _ModelBundle:
         raise ConfigError(str(exc), key="model.free") from exc
     _check_theta(theta, ssm.param_dim)
     if params["data_csv"] is not None:
-        ys = _observations(params["data_csv"])
+        try:
+            ys = load_observations(params["data_csv"])
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read observations: {exc}", key="model.data_csv") from exc
         for key in ("theta_true", "data_seed", "horizon"):
             if key in config.model_params:
                 raise ConfigError(f"{key} does not apply next to data_csv", key=f"model.{key}")
@@ -737,25 +723,11 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list:
     return records
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_records_csv(records, path, timings: bool = False) -> None:
     """Write records in RunRecord field order; timings only on request."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RUN_RECORD_FIELDS)
-        wall = RUN_RECORD_FIELDS.index("wall_time_ms")
-        for r in records:
-            row = [_cell(getattr(r, name)) for name in RUN_RECORD_FIELDS]
-            if not timings:
-                row[wall] = ""
-            writer.writerow(row)
+    hidden = () if timings else ("wall_time_ms",)
+    rows = ([None if f in hidden else getattr(r, f) for f in RUN_RECORD_FIELDS] for r in records)
+    _write_csv(path, RUN_RECORD_FIELDS, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -900,8 +872,5 @@ def compare_fd(config: ExperimentConfig, threads: int = 1):
 
 
 def write_compare_csv(table, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(COMPARE_TABLE_FIELDS)
-        for row in table:
-            writer.writerow([_cell(row[f]) for f in COMPARE_TABLE_FIELDS])
+    rows = ([row[f] for f in COMPARE_TABLE_FIELDS] for row in table)
+    _write_csv(path, COMPARE_TABLE_FIELDS, rows)

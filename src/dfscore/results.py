@@ -1,7 +1,10 @@
-"""Result containers shared by the general and state-space estimators."""
+"""Result containers shared by the general and state-space estimators, and
+``_write_csv``, the one CSV writer (and so the one cell format) behind every
+file dfscore writes."""
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,3 +40,21 @@ class InfoEstimate:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        # the shortest round-trip repr; a bare repr of np.float64 prints
+        # "np.float64(...)" under numpy 2
+        return repr(float(value))
+    return str(value)
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write ``header``, then each row: ``None`` is a blank cell, a float its
+    shortest round-trip repr, anything else its ``str``; lines end in ``\\n``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)

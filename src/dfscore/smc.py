@@ -62,7 +62,6 @@ seeds traverse identical particle trajectories.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -72,7 +71,7 @@ import numpy as np
 from . import kernels
 from .general import _rescale_info, _rescale_score
 from .perturbation import PerturbationKernel, make_gaussian_kernel
-from .results import InfoEstimate, ScoreEstimate
+from .results import InfoEstimate, ScoreEstimate, _write_csv
 from .state_space import StateSpaceModel
 
 __all__ = [
@@ -173,19 +172,11 @@ class FixedLagAccumulator:
 
     def save_moments_csv(self, path) -> None:
         """Rows ``t,component,mean,var_diag`` with 1-based indices."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["t", "component", "mean", "var_diag"])
-            for t in range(self.horizon):
-                for i in range(self.dim):
-                    writer.writerow(
-                        [
-                            t + 1,
-                            i + 1,
-                            repr(float(self.means[t, i])),
-                            repr(float(self.covariances[t, i, i])),
-                        ]
-                    )
+        rows = [
+            (t + 1, i + 1, self.means[t, i], self.covariances[t, i, i])
+            for t, i in np.ndindex(self.means.shape)
+        ]
+        _write_csv(path, ("t", "component", "mean", "var_diag"), rows)
 
 
 def resample(weights, scheme: str, rng: np.random.Generator) -> np.ndarray:
@@ -196,9 +187,7 @@ def resample(weights, scheme: str, rng: np.random.Generator) -> np.ndarray:
     offspring counts.  The multinomial positions are the order statistics
     of ``n`` uniforms, made in O(n) from normalised cumulative sums of
     ``n + 1`` standard exponentials, so under either scheme the positions
-    are sorted and the returned ancestors are nondecreasing.  (Earlier
-    versions inverted unsorted uniforms, so multinomial trajectories for a
-    given seed differ from theirs.)
+    are sorted and the returned ancestors are nondecreasing.
     """
     weights = np.asarray(weights, dtype=np.float64)
     total = weights.sum()

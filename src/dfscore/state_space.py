@@ -13,12 +13,14 @@ same wiring with its transition sampler swapped.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
 
 from . import kernels
+from .results import _write_csv
 
 __all__ = [
     "StateSpaceModel",
@@ -92,22 +94,32 @@ def simulate(model: StateSpaceModel, theta, horizon: int, rng: np.random.Generat
 
 def save_observations(path, ys) -> None:
     """Write observations as CSV rows ``t,y`` (t is 1-based), full precision."""
-    ys = np.asarray(ys, dtype=np.float64)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "y"])
-        for t, y in enumerate(ys, start=1):
-            writer.writerow([t, repr(float(y))])
+    _write_csv(path, ("t", "y"), enumerate(np.asarray(ys, dtype=np.float64), start=1))
 
 
 def load_observations(path) -> np.ndarray:
-    """Read a ``t,y`` observation CSV back into a float array."""
+    """Read a ``t,y`` observation CSV back into a float array.
+
+    The one definition of a valid observation file: the header ``t,y``, then
+    one or more rows ``t,y`` with ``t`` = 1, 2, ..., T in order and every
+    ``y`` finite.  Any other file raises ``ValueError``.
+    """
+    ys = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["t", "y"]:
             raise ValueError(f"unexpected observation CSV header: {header}")
-        return np.array([float(row[1]) for row in reader])
+        for t, row in enumerate(reader, start=1):
+            if len(row) != 2 or row[0] != str(t):
+                raise ValueError(f"{path} line {reader.line_num}: expected {t},y, got {row}")
+            y = float(row[1])
+            if not math.isfinite(y):
+                raise ValueError(f"{path}: observation t={t} is {y}, not finite")
+            ys.append(y)
+    if not ys:
+        raise ValueError(f"{path} holds no observations")
+    return np.array(ys)
 
 
 class ParameterNameError(ValueError):

@@ -211,8 +211,14 @@ def test_poisson_y_that_is_not_a_count_is_a_config_error(tmp_path, capsys, y):
 
 @pytest.mark.parametrize(
     "rows",
-    ["t,y\n", None, "time,y\n1,0.3\n2,0.1\n", "t,y\n1,0.3\n2,nan\n3,0.1\n"],
-    ids=["header-only", "missing-file", "wrong-header", "nan-value"],
+    [
+        "t,y\n",
+        None,
+        "time,y\n1,0.3\n2,0.1\n",
+        "t,y\n1,0.3\n2,nan\n3,0.1\n",
+        "t,y\n2,0.3\n1,0.1\n7,0.4\n",
+    ],
+    ids=["header-only", "missing-file", "wrong-header", "nan-value", "out-of-order-t"],
 )
 def test_bad_data_csv_is_a_config_error(tmp_path, capsys, rows):
     data = tmp_path / "ys.csv"

@@ -539,6 +539,11 @@ def test_fit_rate_slope_skips_rows_without_an_estimate_or_an_oracle():
     assert fit.slope == pytest.approx(-2.0, abs=1e-12)
 
 
+def test_fit_rate_slope_rejects_an_unknown_transform():
+    with pytest.raises(ValueError, match="y_transform"):
+        fit_rate_slope([], "tau", "rmse")
+
+
 def test_fit_rate_slope_over_records():
     config = base_config(
         method="quad-score", taus=(0.4, 0.2, 0.1, 0.05), replications=1
@@ -561,6 +566,16 @@ def test_compare_fd_exact_quadratic_has_zero_fd_variance(tmp_path):
     path = tmp_path / "cmp.csv"
     write_compare_csv(table, path)
     assert path.read_text().splitlines()[0] == ",".join(COMPARE_TABLE_FIELDS)
+
+
+def test_compare_fd_ratio_is_blank_when_the_proposed_variance_is_zero(tmp_path):
+    # one replication leaves every variance at 0; the CLI forbids it, the library does not
+    config = base_config(method="is-score", replications=1, compare_smc_n=2000)
+    _, table = compare_fd(config)
+    assert table and all(row["variance_ratio"] is None for row in table)
+    path = tmp_path / "cmp.csv"
+    write_compare_csv(table, path)
+    assert all(line.endswith(",") for line in path.read_text().splitlines()[1:])
 
 
 def test_compare_fd_lgssm_emits_ratio():

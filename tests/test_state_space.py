@@ -65,6 +65,23 @@ def test_observation_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(back, ys)
 
 
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("t,y\n", "holds no observations"),
+        ("t,y\n1,0.3\n2,-inf\n", "t=2 is -inf, not finite"),
+        ("t,y\n1,0.3\n2\n", "line 3: expected 2,y"),
+        ("t,y\n2,0.3\n1,0.1\n7,0.4\n", "line 2: expected 1,y"),
+    ],
+    ids=["header-only", "non-finite", "short-row", "out-of-order-t"],
+)
+def test_invalid_observation_file_raises(tmp_path, text, match):
+    path = tmp_path / "obs.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=match):
+        dfs.load_observations(path)
+
+
 # ---------------------------------------------------------------------------
 # parameter mapping
 # ---------------------------------------------------------------------------
