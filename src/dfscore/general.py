@@ -6,6 +6,11 @@ draw parameters from the perturbation prior, weight them by likelihood
 mean and covariance into derivative estimates.  Central finite differences
 are the baseline alternative, and a trapezoidal-quadrature version of the
 posterior moments serves as an exact low-dimensional oracle.
+
+``score_from_moments`` and ``observed_info_from_moments`` are the only
+rescalers: importance sampling, quadrature and the extended filter (through
+``FixedLagAccumulator.moments``) all hand them a ``PosteriorMoments``, whose
+``horizon`` says how many perturbed parameters the moments sum over.
 """
 
 from __future__ import annotations
@@ -68,19 +73,25 @@ class PosteriorMoments:
     """Mean/covariance of the artificial posterior plus sampling diagnostics.
 
     ``ess`` and ``n`` are None for analytically computed moments (quadrature
-    reports ``n`` as the grid size and no ess).
+    reports ``n`` as the grid size and no ess).  ``horizon`` is the number
+    of perturbed parameters, each with prior ``N(theta, tau^2 Sigma)``, whose
+    sum the moments describe: 1 for importance sampling and quadrature, and
+    the number of steps ``T`` for the filter's ``sum_t theta_t``.
     """
 
     mean: np.ndarray
     covariance: np.ndarray
     ess: Optional[float] = None
     n: Optional[int] = None
+    horizon: int = 1
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=np.float64))
         cov = np.asarray(self.covariance, dtype=np.float64)
         if cov.shape != (mean.size, mean.size):
             raise ValueError("covariance shape does not match mean")
+        if self.horizon < 1:
+            raise ValueError("horizon must be >= 1")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
         if self.ess is not None and self.n is not None:
@@ -264,15 +275,11 @@ def posterior_moments_quadrature(
         log_w.append(np.log(coeff) - 0.5 * z * z)
 
     if model.dim == 1:
-        logl, _ = _evaluate_loglik(model, axes[0][:, None])
-        log_post = logl + log_w[0]
-        peak = np.max(log_post)
-        if peak == -np.inf:
+        logl, top = _evaluate_loglik(model, axes[0][:, None])
+        if top == -np.inf:  # the log-prior weights are finite
             raise DegeneratePosteriorError("posterior mass vanished on the grid")
-        log_post -= peak
-        weights = np.exp(log_post, out=log_post)
-        total = weights.sum()
-        marginals = [weights / total]
+        log_post = logl + log_w[0]
+        marginals = [kernels.normalize_log_weights(log_post, out=log_post)[0]]
     else:
         rows, moments, cols = _grid_sums(model, *axes, *log_w, theta[1])
         total = rows.sum()
@@ -294,47 +301,28 @@ def _kernel_variances(sigma, dim: int) -> np.ndarray:
     return sigma.variances()
 
 
-def _rescale_score(displacement: np.ndarray, tau: float, sigma) -> np.ndarray:
-    """``Sigma^-1 displacement / tau^2`` for the diagonal kernel covariance.
-
-    ``displacement`` is ``E[theta] - theta`` for one perturbed parameter and
-    ``sum_t E[theta_t] - T theta`` for the filter's ``T`` step parameters.
-    """
-    if tau <= 0.0:
-        raise ValueError("tau must be > 0")
-    return displacement / _kernel_variances(sigma, displacement.size) / tau**2
-
-
-def _rescale_info(covariance: np.ndarray, horizon: int, tau: float, sigma) -> np.ndarray:
-    """``Sigma^-1 (T tau^2 Sigma - covariance) Sigma^-1 / tau^4``, symmetrized.
-
-    ``covariance`` is the posterior covariance of ``sum_t theta_t`` over the
-    ``T = horizon`` perturbed parameters.  The diagonal ``Sigma`` divides
-    elementwise through the outer product of the variances, and
-    ``(M + M.T) / 2`` makes the result symmetric exactly.
-    """
-    if tau <= 0.0:
-        raise ValueError("tau must be > 0")
-    var = _kernel_variances(sigma, covariance.shape[0])
-    deficit = np.diag(tau**2 * horizon * var) - covariance
-    full = deficit / np.outer(var, var) / tau**4
-    return (full + full.T) / 2.0
-
-
 def score_from_moments(
     moments: PosteriorMoments, theta, tau: float, sigma: PerturbationKernel
 ) -> ScoreEstimate:
     """Rescale the posterior mean displacement into a score estimate.
 
-    Computes ``Sigma^-1 (mean - theta) / tau^2`` with ``Sigma`` the
-    covariance of the kernel ``sigma``; the bias of the result is second
-    order in ``tau``.
+    Computes ``Sigma^-1 (mean - T theta) / tau^2`` with ``Sigma`` the
+    covariance of the kernel ``sigma`` and ``T = moments.horizon``; the bias
+    of the result is second order in ``tau``.  ``theta`` has the mean's
+    shape, or is a scalar when that is ``(1,)``.
     """
     if not np.all(np.isfinite(moments.mean)):
         raise ValueError("posterior mean must be finite")
-    displacement = moments.mean - np.asarray(theta, dtype=np.float64)
-    values = _rescale_score(displacement, tau, sigma)
-    return ScoreEstimate(values)
+    theta = np.asarray(theta, dtype=np.float64)
+    if np.atleast_1d(theta).shape != moments.mean.shape:
+        raise ValueError(
+            f"theta has shape {theta.shape}, posterior mean has shape {moments.mean.shape}"
+        )
+    if tau <= 0.0:
+        raise ValueError("tau must be > 0")
+    displacement = moments.mean - moments.horizon * theta
+    var = _kernel_variances(sigma, moments.mean.size)
+    return ScoreEstimate(displacement / var / tau**2)
 
 
 def observed_info_from_moments(
@@ -342,11 +330,21 @@ def observed_info_from_moments(
 ) -> InfoEstimate:
     """Rescale the posterior covariance deficit into an information estimate.
 
-    Computes ``Sigma^-1 (tau^2 Sigma - cov) Sigma^-1 / tau^4`` with ``Sigma``
-    the covariance of the kernel ``sigma``, symmetric exactly.
+    Computes ``Sigma^-1 (T tau^2 Sigma - cov) Sigma^-1 / tau^4`` with
+    ``Sigma`` the covariance of the kernel ``sigma`` and ``T =
+    moments.horizon``.  The diagonal ``Sigma`` divides elementwise through
+    the outer product of the variances, and ``(M + M.T) / 2`` makes the
+    result symmetric exactly.
     """
-    values = _rescale_info(moments.covariance, 1, tau, sigma)
-    return InfoEstimate(values)
+    covariance = moments.covariance
+    if not np.all(np.isfinite(covariance)):
+        raise ValueError("posterior covariance must be finite")
+    if tau <= 0.0:
+        raise ValueError("tau must be > 0")
+    var = _kernel_variances(sigma, covariance.shape[0])
+    deficit = np.diag(tau**2 * moments.horizon * var) - covariance
+    full = deficit / np.outer(var, var) / tau**4
+    return InfoEstimate((full + full.T) / 2.0)
 
 
 @dataclass(frozen=True)

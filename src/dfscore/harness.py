@@ -57,9 +57,7 @@ from .smc import (
     ExtendedFilterConfig,
     ParticleCollapseError,
     bootstrap_loglik,
-    observed_info_from_accumulator,
     run_extended_bootstrap,
-    score_from_accumulator,
 )
 from .state_space import (
     PARAM_NAMES,
@@ -577,9 +575,7 @@ def _smc_estimate(task: _Task, target: str) -> list:
         ess_threshold=task.config.ess_threshold,
     )
     acc = run_extended_bootstrap(task.bundle.ssm, task.bundle.ys, filter_cfg, rng=task.rng)
-    if target == "score":
-        return [score_from_accumulator(acc, task.theta, point.tau, task.kernel).values]
-    return [observed_info_from_accumulator(acc, point.tau, task.kernel).values]
+    return _rescaled(acc.moments(), task, target)
 
 
 def _oracle_estimate(task: _Task, target: str) -> list:

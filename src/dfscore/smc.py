@@ -5,9 +5,11 @@ from the perturbation prior at every time step (i.i.d. across time, not a
 random walk) while the latent state evolves through the sample-only
 transition under that step's parameter.  At each step the filter reads off
 weighted posterior means/variances of the lagged parameter and the sum of
-its cross-covariances with the in-lag earlier parameters; those moments
-assemble into score and observed information estimates for the original
-model.
+its cross-covariances with the in-lag earlier parameters.
+``FixedLagAccumulator.moments`` sums them into the ``PosteriorMoments`` of
+``sum_t theta_t`` with ``horizon = T``, and ``general``'s rescalers turn
+those into score and observed information estimates for the original model,
+as they do for one perturbed parameter.
 
 Covariance is bilinear, so ``sum_s Cov_w(theta_s, theta_t)`` over the lag
 window equals ``Cov_w(S_t, theta_t)`` with ``S_t`` the window sum of the
@@ -69,7 +71,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .general import _rescale_info, _rescale_score
+from .general import PosteriorMoments, observed_info_from_moments, score_from_moments
 from .perturbation import PerturbationKernel, make_gaussian_kernel
 from .results import InfoEstimate, ScoreEstimate, _write_csv
 from .state_space import StateSpaceModel
@@ -160,14 +162,29 @@ class FixedLagAccumulator:
     def horizon(self) -> int:
         return self.means.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.means.shape[1]
-
     def is_complete(self) -> bool:
         """True when every per-time slot was filled."""
         return not any(
             np.any(np.isnan(a)) for a in (self.means, self.covariances, self.pair_sums)
+        )
+
+    def moments(self) -> PosteriorMoments:
+        """Posterior moments of ``sum_t theta_t`` over the ``T`` steps.
+
+        The mean is ``sum_t mean_t`` and the covariance ``sum_t var_t +
+        sum_t (A_t + A_t.T)`` with ``A_t = pair_sums[t]``.  The pair sum
+        symmetrizes each cross-covariance instead of doubling it, which is
+        exact for the true posterior and keeps the covariance symmetric.
+        ``horizon = T``, so the rescalers take ``T tau^2 Sigma`` as the
+        prior term.
+        """
+        if not self.is_complete():
+            raise ValueError("accumulator is incomplete; run the filter to horizon")
+        pairs = self.pair_sums.sum(axis=0)
+        return PosteriorMoments(
+            mean=self.means.sum(axis=0),
+            covariance=self.covariances.sum(axis=0) + (pairs + pairs.T),
+            horizon=self.horizon,
         )
 
     def save_moments_csv(self, path) -> None:
@@ -355,38 +372,19 @@ def run_extended_bootstrap(
     )
 
 
-def _require_complete(acc: FixedLagAccumulator) -> None:
-    if not acc.is_complete():
-        raise ValueError("accumulator is incomplete; run the filter to horizon")
-
-
 def score_from_accumulator(
     acc: FixedLagAccumulator, theta, tau: float, sigma: PerturbationKernel
 ) -> ScoreEstimate:
     """Assemble the score: ``Sigma^-1 (sum_t mean_t - T theta) / tau^2``."""
-    _require_complete(acc)
-    theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    displacement = acc.means.sum(axis=0) - acc.horizon * theta
-    values = _rescale_score(displacement, tau, sigma)
-    return ScoreEstimate(values)
+    return score_from_moments(acc.moments(), theta, tau, sigma)
 
 
 def observed_info_from_accumulator(
     acc: FixedLagAccumulator, tau: float, sigma: PerturbationKernel
 ) -> InfoEstimate:
-    """Assemble the observed information from variances and in-lag pairs.
-
-    The covariance of ``sum_t theta_t`` is ``sum_t var_t + sum_t (A_t +
-    A_t.T)`` with ``A_t = pair_sums[t]``; it goes through the same rescaling
-    as one parameter's covariance, with ``T tau^2 Sigma`` as the prior term.
-    The pair sum symmetrizes each cross-covariance instead of doubling it,
-    which is exact for the true posterior and keeps the estimate symmetric.
-    """
-    _require_complete(acc)
-    pairs = acc.pair_sums.sum(axis=0)
-    covariance = acc.covariances.sum(axis=0) + (pairs + pairs.T)
-    values = _rescale_info(covariance, acc.horizon, tau, sigma)
-    return InfoEstimate(values)
+    """Assemble the observed information from variances and in-lag pairs:
+    ``Sigma^-1 (T tau^2 Sigma - Cov(sum_t theta_t)) Sigma^-1 / tau^4``."""
+    return observed_info_from_moments(acc.moments(), tau, sigma)
 
 
 def bootstrap_loglik(

@@ -50,6 +50,16 @@ def test_log_likelihood_of_the_wrong_shape_names_the_callable(moments):
 
 
 MOMENTS = dfs.PosteriorMoments(mean=np.zeros(1), covariance=np.eye(1))
+MOMENTS2 = dfs.PosteriorMoments(mean=np.array([0.1, 0.2]), covariance=0.01 * np.eye(2))
+ACC2 = dfs.FixedLagAccumulator(
+    means=np.full((3, 2), 0.1), covariances=np.tile(0.01 * np.eye(2), (3, 1, 1)),
+    pair_sums=np.zeros((3, 2, 2)), loglik_estimate=0.0,
+    readoff_horizon=np.arange(1, 4), ess_trace=np.ones(3),
+)
+
+
+def moments_with_covariance(value):
+    return dfs.PosteriorMoments(mean=np.zeros(1), covariance=np.full((1, 1), value))
 CUBE = dfs.GeneralModel(dim=3, log_likelihood=lambda t: np.zeros(t.shape[0]))
 
 ARGUMENT_CHECKS = {
@@ -72,6 +82,10 @@ ARGUMENT_CHECKS = {
     "moments-ess-above-n": (
         lambda: dfs.PosteriorMoments(mean=np.zeros(1), covariance=np.eye(1), ess=11.0, n=10),
         r"ess must lie in \[1, n\]",
+    ),
+    "moments-horizon-zero": (
+        lambda: dfs.PosteriorMoments(mean=np.zeros(1), covariance=np.eye(1), horizon=0),
+        "horizon must be >= 1",
     ),
     "quadrature-dim-above-two": (
         lambda: dfs.posterior_moments_quadrature(
@@ -101,6 +115,22 @@ ARGUMENT_CHECKS = {
             0.1, K1,
         ),
         "posterior mean must be finite",
+    ),
+    "score-theta-scalar-for-two-dimensions": (
+        lambda: dfs.score_from_moments(MOMENTS2, 0.05, 0.1, K2),
+        r"theta has shape \(\), posterior mean has shape \(2,\)",
+    ),
+    "accumulator-score-theta-shape": (
+        lambda: dfs.score_from_accumulator(ACC2, np.array([0.05]), 0.1, K2),
+        r"theta has shape \(1,\), posterior mean has shape \(2,\)",
+    ),
+    "info-covariance-nan": (
+        lambda: dfs.observed_info_from_moments(moments_with_covariance(np.nan), 0.1, K1),
+        "posterior covariance must be finite",
+    ),
+    "info-covariance-inf": (
+        lambda: dfs.observed_info_from_moments(moments_with_covariance(np.inf), 0.1, K1),
+        "posterior covariance must be finite",
     ),
     "fd-h-zero": (lambda: dfs.FDConfig(h=0.0, base_seed=0), "h must be > 0"),
     "kernel-center-shape": (

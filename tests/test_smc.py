@@ -903,6 +903,36 @@ def test_accumulator_estimates_are_horizon_times_general_rescalers():
         dfs.observed_info_from_accumulator(acc, tau, np.diag([1.44, 0.64]))
 
 
+@pytest.mark.parametrize("lag", [0, 3])
+def test_accumulator_estimates_are_the_written_out_formulas_bit_for_bit(lag):
+    # acc.moments() goes through the general rescalers with horizon T; the
+    # result keeps the bits of the sum-of-moments formulas written out
+    spec = dfs.LinearGaussianSSM(
+        free=("phi", "log_sigma_v"), fixed={"log_sigma_w": 0.0}, init="fixed"
+    )
+    ssm = spec.state_space()
+    theta = np.array([0.6, -0.1])
+    _, ys = dfs.simulate(ssm, theta, 12, np.random.default_rng(5))
+    kern = dfs.make_gaussian_kernel([1.2, 0.8])
+    tau = 0.1
+    cfg = ExtendedFilterConfig(theta=theta, tau=tau, kernel=kern, lag=lag, n_particles=400)
+    acc = dfs.run_extended_bootstrap(ssm, ys, cfg, rng=np.random.default_rng(6))
+    horizon, var = acc.horizon, kern.variances()
+    assert np.any(acc.pair_sums != 0.0) == (lag > 0)
+    score = (acc.means.sum(axis=0) - horizon * theta) / var / tau**2
+    pairs = acc.pair_sums.sum(axis=0)
+    covariance = acc.covariances.sum(axis=0) + (pairs + pairs.T)
+    full = (np.diag(tau**2 * horizon * var) - covariance) / np.outer(var, var) / tau**4
+    assert np.array_equal(dfs.score_from_accumulator(acc, theta, tau, kern).values, score)
+    assert np.array_equal(
+        dfs.observed_info_from_accumulator(acc, tau, kern).values, (full + full.T) / 2.0
+    )
+    moments = acc.moments()
+    assert moments.horizon == horizon
+    assert np.array_equal(moments.mean, acc.means.sum(axis=0))
+    assert np.array_equal(moments.covariance, covariance)
+
+
 def test_incomplete_accumulator_rejected():
     acc = make_accumulator(np.random.default_rng(2))
     kern = dfs.make_gaussian_kernel([1.0, 1.0])
