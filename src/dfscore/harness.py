@@ -8,7 +8,9 @@ check and the model kinds and methods it applies to.  ``ExperimentConfig``
 runs the checks however it is built, so a config made in code or by
 ``dataclasses.replace`` meets the same rules as a file; ``load_config`` also
 rejects a key given in the file that the method does not read.
-``build_model_bundle`` keeps the rules that span several ``[model]`` keys.
+A second table, ``_KINDS``, gives each model kind its family and the builder
+of its model, data and oracle, which applies the rules that span several
+``[model]`` keys.
 
 Every replication draws its random stream from
 ``numpy.random.SeedSequence((base_seed, grid_index, rep_index))``, which
@@ -33,6 +35,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -49,7 +52,8 @@ from .general import (
     posterior_moments_quadrature,
     score_from_moments,
 )
-from .models import gaussian_location_model, poisson_loglink_model
+from .models import gaussian_location_derivatives, gaussian_location_model
+from .models import poisson_loglink_derivatives, poisson_loglink_model
 from .perturbation import PerturbationKernel, make_gaussian_kernel
 from .results import _write_csv
 from .smc import (
@@ -88,9 +92,6 @@ __all__ = [
     "write_compare_csv",
 ]
 
-MODEL_KINDS = ("conjugate-gaussian", "poisson", "lgssm", "nonlinear-ar1")
-_GENERAL_KINDS = ("conjugate-gaussian", "poisson")
-_SSM_KINDS = ("lgssm", "nonlinear-ar1")
 SOURCES = ("is", "quad", "fd", "smc", "oracle")
 METHODS = tuple(
     f"{src}-{target}" for src in SOURCES[:-1] for target in ("score", "oim")
@@ -186,6 +187,149 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"{key} does not apply to kind {self.model_kind}", key=f"model.{key}"
                 )
+
+
+# ---------------------------------------------------------------------------
+# model kinds
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _ModelBundle:
+    """Everything an estimator task needs, prebuilt from the config."""
+
+    dim: int
+    general: Optional[GeneralModel] = None
+    loglik_point: Optional[Callable] = None  # (theta, rng) -> float
+    ssm: Optional[object] = None
+    ys: Optional[np.ndarray] = None
+    horizon: Optional[int] = None
+    oracle: Optional[tuple] = None  # the exact (score, information) at theta
+
+
+def _check_theta(theta: np.ndarray, dim: int) -> None:
+    if theta.size != dim:
+        raise ConfigError(
+            f"theta has {theta.size} values, the model has {dim} parameters",
+            key="estimator.theta",
+        )
+
+
+def _general(model: GeneralModel, oracle: tuple) -> _ModelBundle:
+    def loglik_point(th, rng):
+        return float(model.log_likelihood(np.atleast_2d(th))[0])
+
+    return _ModelBundle(model.dim, model, loglik_point, oracle=oracle)
+
+
+def _conjugate_gaussian(params: dict, given: dict, theta: np.ndarray) -> _ModelBundle:
+    y, obs_sd, dim = params["y"], params["obs_sd"], params["dim"] or len(theta)
+    _check_theta(theta, dim)
+    model = gaussian_location_model(y=y, obs_sd=obs_sd, dim=dim)
+    return _general(model, gaussian_location_derivatives(theta, y, obs_sd))
+
+
+def _poisson(params: dict, given: dict, theta: np.ndarray) -> _ModelBundle:
+    y = params["y"]
+    if not (y >= 0.0 and y == int(y)):
+        raise ConfigError("y must be a non-negative integer count", key="model.y")
+    _check_theta(theta, 1)
+    return _general(poisson_loglink_model(int(y)), poisson_loglink_derivatives(theta, int(y)))
+
+
+def _lgssm(free, fixed, init, init_mean, init_sd) -> tuple:
+    spec = LinearGaussianSSM(free, fixed, init, init_mean, init_sd)
+
+    def oracle(theta, ys):
+        der = kalman_score_info(spec, theta, ys)
+        return (der.score, der.info), lambda th, rng: kalman_loglik(spec, th, ys)
+
+    return spec.state_space(), oracle
+
+
+def _nonlinear_ar1(free, fixed, init, init_mean, init_sd) -> tuple:
+    if init != "fixed":  # the only initial law this model has
+        raise ConfigError(f"init must be in ('fixed',), got {init!r}", key="model.init")
+    return make_nonlinear_shock_model(free, fixed, init_mean, init_sd), None
+
+
+def _state_space(make, params: dict, given: dict, theta: np.ndarray) -> _ModelBundle:
+    """A state-space kind's bundle: ``make(free, fixed, init, init_mean,
+    init_sd)`` gives the model and its oracle, ``(theta, ys) -> ((score,
+    info), loglik_point)`` or None; the data are loaded or simulated."""
+    free = params["free"]
+    for name in free:
+        if name in given:
+            raise ConfigError(f"{name} is free, so it takes no value", key=f"model.{name}")
+    fixed = {name: params[name] for name in PARAM_NAMES if params[name] is not None}
+    init, init_mean, init_sd = params["init"], params["init_mean"], params["init_sd"]
+    if init == "fixed" and not init_sd > 0.0:
+        raise ConfigError("init = fixed needs init_sd > 0", key="model.init_sd")
+    try:
+        ssm, oracle = make(free, fixed, init, init_mean, init_sd)
+    except ParameterNameError as exc:
+        raise ConfigError(str(exc), key="model.free") from exc
+    _check_theta(theta, ssm.param_dim)
+    if params["data_csv"] is not None:
+        try:
+            ys = load_observations(params["data_csv"])
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read observations: {exc}", key="model.data_csv") from exc
+        for key in ("theta_true", "data_seed", "horizon"):
+            if key in given:
+                raise ConfigError(f"{key} does not apply next to data_csv", key=f"model.{key}")
+    else:
+        theta_true = np.asarray(params["theta_true"], dtype=np.float64)
+        if theta_true.size != ssm.param_dim:
+            raise ConfigError(
+                "theta_true must match the model's free-parameter count",
+                key="model.theta_true",
+            )
+        data_rng = np.random.default_rng(params["data_seed"])
+        try:
+            _, ys = simulate(ssm, theta_true, params["horizon"], data_rng)
+        except ParameterDomainError as exc:
+            raise ConfigError(str(exc), key="model.theta_true") from exc
+    bundle = _ModelBundle(dim=ssm.param_dim, ssm=ssm, ys=ys, horizon=len(ys))
+    if oracle is not None:
+        try:
+            bundle.oracle, bundle.loglik_point = oracle(theta, ys)
+        except ParameterDomainError as exc:
+            raise ConfigError(str(exc), key="estimator.theta") from exc
+    return bundle
+
+
+class _Kind(NamedTuple):
+    """A model kind: its family, general (a log-likelihood) or state-space (a
+    sampler and an observation density), and ``build(params, given, theta)``,
+    where ``params`` holds every [model] value and ``given`` the config's."""
+
+    family: str
+    build: Callable
+
+
+_KINDS = {
+    "conjugate-gaussian": _Kind("general", _conjugate_gaussian),
+    "poisson": _Kind("general", _poisson),
+    "lgssm": _Kind("state-space", partial(_state_space, _lgssm)),
+    "nonlinear-ar1": _Kind("state-space", partial(_state_space, _nonlinear_ar1)),
+}
+MODEL_KINDS = tuple(_KINDS)
+_GENERAL_KINDS = tuple(name for name, kind in _KINDS.items() if kind.family == "general")
+_SSM_KINDS = tuple(name for name, kind in _KINDS.items() if kind.family == "state-space")
+
+
+def build_model_bundle(config: ExperimentConfig) -> _ModelBundle:
+    """The model, data and oracle the config describes.  Applies the rules
+    that span several [model] keys; the table has checked each one."""
+    theta = np.asarray(config.theta, dtype=np.float64)
+    kind = config.model_kind
+    params = {
+        key: row.default.get(kind) if isinstance(row.default, dict) else row.default
+        for key, row in _SCHEMA["model"].items()
+    }
+    params.update(config.model_params)
+    return _KINDS[kind].build(params, config.model_params, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -343,138 +487,18 @@ def load_config(path, compare: bool = False) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
+def _spawn(base_seed: int, grid_index: int, rep_index: int) -> np.random.SeedSequence:
+    """The spawn rule: ``SeedSequence((base_seed, grid_index, rep_index))``."""
+    return np.random.SeedSequence((base_seed, grid_index, rep_index))
+
+
 def derive_substream(base_seed: int, grid_index: int, rep_index: int):
-    """Independent stream for one (grid point, replication) pair.
-
-    The spawn rule is ``SeedSequence((base_seed, grid_index, rep_index))``;
-    the returned seed word (first 64 bits of the mixed state) is what run
-    records report.
-    """
-    ss = np.random.SeedSequence((base_seed, grid_index, rep_index))
-    words = ss.generate_state(2, np.uint64)
-    seed_word = int(words[0])
+    """Independent stream for one (grid point, replication) pair, seeded by
+    ``_spawn``; the returned seed word (first 64 bits of the mixed state) is
+    what run records report."""
+    ss = _spawn(base_seed, grid_index, rep_index)
+    seed_word = int(ss.generate_state(2, np.uint64)[0])
     return np.random.default_rng(ss), seed_word
-
-
-# ---------------------------------------------------------------------------
-# model bundles
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _ModelBundle:
-    """Everything an estimator task needs, prebuilt from the config."""
-
-    dim: int
-    general: Optional[GeneralModel] = None
-    loglik_point: Optional[Callable] = None  # (theta, rng) -> float
-    ssm: Optional[object] = None
-    ys: Optional[np.ndarray] = None
-    horizon: Optional[int] = None
-    oracle_score: Optional[np.ndarray] = None
-    oracle_info: Optional[np.ndarray] = None
-
-
-def _check_theta(theta: np.ndarray, dim: int) -> None:
-    if theta.size != dim:
-        raise ConfigError(
-            f"theta has {theta.size} values, the model has {dim} parameters",
-            key="estimator.theta",
-        )
-
-
-def build_model_bundle(config: ExperimentConfig) -> _ModelBundle:
-    """The model, data and oracle the config describes.  Applies the rules
-    that span several [model] keys; the table has checked each one."""
-    theta = np.asarray(config.theta, dtype=np.float64)
-    kind = config.model_kind
-    params = {
-        key: row.default.get(kind) if isinstance(row.default, dict) else row.default
-        for key, row in _SCHEMA["model"].items()
-    }
-    params.update(config.model_params)
-    if kind in _GENERAL_KINDS:
-        y = params["y"]
-        if kind == "conjugate-gaussian":
-            dim, obs_sd = params["dim"] or len(theta), params["obs_sd"]
-            _check_theta(theta, dim)
-            model = gaussian_location_model(y=y, obs_sd=obs_sd, dim=dim)
-            score = (np.full(dim, y) - theta) / obs_sd**2
-            info = np.eye(dim) / obs_sd**2
-        else:
-            if not (y >= 0.0 and y == int(y)):
-                raise ConfigError("y must be a non-negative integer count", key="model.y")
-            _check_theta(theta, 1)
-            model = poisson_loglink_model(int(y))
-            with np.errstate(over="ignore"):
-                rate = np.exp(theta[0])
-            score = np.array([y - rate])
-            info = np.array([[rate]])
-
-        def loglik_point(th, rng):
-            return float(model.log_likelihood(np.atleast_2d(th))[0])
-
-        return _ModelBundle(
-            dim=model.dim,
-            general=model,
-            loglik_point=loglik_point,
-            oracle_score=score,
-            oracle_info=info,
-        )
-
-    # state-space kinds: a free parameter takes no value
-    free = params["free"]
-    for name in free:
-        if name in config.model_params:
-            raise ConfigError(f"{name} is free, so it takes no value", key=f"model.{name}")
-    fixed = {name: params[name] for name in PARAM_NAMES if params[name] is not None}
-    # nonlinear-ar1 has only the fixed initial law N(init_mean, init_sd^2)
-    inits = ("stationary", "fixed") if kind == "lgssm" else ("fixed",)
-    init, init_mean, init_sd = params["init"], params["init_mean"], params["init_sd"]
-    if init not in inits:
-        raise ConfigError(f"init must be in {inits}, got {init!r}", key="model.init")
-    if init == "fixed" and not init_sd > 0.0:
-        raise ConfigError("init = fixed needs init_sd > 0", key="model.init_sd")
-    spec = None
-    try:
-        if kind == "lgssm":
-            spec = LinearGaussianSSM(free, fixed, init, init_mean, init_sd)
-            ssm = spec.state_space()
-        else:
-            ssm = make_nonlinear_shock_model(free, fixed, init_mean, init_sd)
-    except ParameterNameError as exc:
-        raise ConfigError(str(exc), key="model.free") from exc
-    _check_theta(theta, ssm.param_dim)
-    if params["data_csv"] is not None:
-        try:
-            ys = load_observations(params["data_csv"])
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read observations: {exc}", key="model.data_csv") from exc
-        for key in ("theta_true", "data_seed", "horizon"):
-            if key in config.model_params:
-                raise ConfigError(f"{key} does not apply next to data_csv", key=f"model.{key}")
-    else:
-        theta_true = np.asarray(params["theta_true"], dtype=np.float64)
-        if theta_true.size != ssm.param_dim:
-            raise ConfigError(
-                "theta_true must match the model's free-parameter count",
-                key="model.theta_true",
-            )
-        data_rng = np.random.default_rng(params["data_seed"])
-        try:
-            _, ys = simulate(ssm, theta_true, params["horizon"], data_rng)
-        except ParameterDomainError as exc:
-            raise ConfigError(str(exc), key="model.theta_true") from exc
-    bundle = _ModelBundle(dim=ssm.param_dim, ssm=ssm, ys=ys, horizon=len(ys))
-    if spec is not None:
-        try:
-            der = kalman_score_info(spec, theta, ys)
-        except ParameterDomainError as exc:
-            raise ConfigError(str(exc), key="estimator.theta") from exc
-        bundle.oracle_score = der.score
-        bundle.oracle_info = der.info
-        bundle.loglik_point = lambda th, rng: kalman_loglik(spec, th, ys)
-    return bundle
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +603,7 @@ def _smc_estimate(task: _Task, target: str) -> list:
 
 
 def _oracle_estimate(task: _Task, target: str) -> list:
-    return [task.bundle.oracle_score, task.bundle.oracle_info]
+    return list(task.bundle.oracle)
 
 
 # What a source needs of the model: (holds(config, bundle), what, config key).
@@ -603,9 +627,7 @@ _LOGLIK = (
     "an exact log-likelihood, or loglik_source = smc on a state-space model",
     "estimator.loglik_source",
 )
-_ORACLE = (
-    lambda c, b: b.oracle_score is not None, "a model with an oracle", "estimator.method"
-)
+_ORACLE = (lambda c, b: b.oracle is not None, "a model with an oracle", "estimator.method")
 
 
 class _Source(NamedTuple):
@@ -662,8 +684,8 @@ def _run_one(config: ExperimentConfig, bundle, point, rep) -> list:
 
     cells = _grid_cells(entry.columns, config, point)
     oracles = (None, None)
-    if "oracle" in entry.columns:
-        oracles = (bundle.oracle_score, bundle.oracle_info)
+    if "oracle" in entry.columns and bundle.oracle is not None:
+        oracles = bundle.oracle
     rows = []
     for array in arrays:
         reference = oracles[array.ndim - 1]
@@ -744,8 +766,8 @@ class SlopeFit:
 def fit_loglog_slope(xs, ys) -> SlopeFit:
     """Least-squares slope of log(y) against log(x).
 
-    Non-positive or non-finite pairs are dropped with a warning; at least
-    three surviving points are required.
+    Non-positive or non-finite pairs are dropped with a warning; the
+    surviving points must hold at least three distinct x values.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
@@ -754,14 +776,13 @@ def fit_loglog_slope(xs, ys) -> SlopeFit:
     if n_filtered:
         warnings.warn(f"dropped {n_filtered} non-positive points from slope fit")
     xs, ys = xs[keep], ys[keep]
-    if xs.size < 3:
+    if np.unique(xs).size < 3:
         raise ValueError("need at least 3 distinct positive x values")
     lx, ly = np.log(xs), np.log(ys)
     dx = lx - lx.mean()
     slope = float(dx @ (ly - ly.mean()) / (dx @ dx))
     resid = ly - ly.mean() - slope * dx
-    dof = xs.size - 2
-    sigma2 = float(resid @ resid) / dof if dof > 0 else 0.0
+    sigma2 = float(resid @ resid) / (xs.size - 2)
     stderr = math.sqrt(sigma2 / float(dx @ dx))
     return SlopeFit(slope=slope, stderr=stderr, n_points=int(xs.size), n_filtered=n_filtered)
 
@@ -808,7 +829,7 @@ def _compare_pair(config: ExperimentConfig) -> tuple:
     evaluates the exact log-likelihood.
     """
     target = config.compare_target
-    is_ssm = config.model_kind in _SSM_KINDS
+    is_ssm = _KINDS[config.model_kind].family == "state-space"
     fd_n = max(2, config.compare_smc_n // len(_fd_stencil(len(config.theta), target)))
     proposed = ("smc-" if is_ssm else "is-") + target
     return (

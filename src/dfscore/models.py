@@ -1,8 +1,8 @@
 """Reference likelihood surfaces with known derivatives.
 
-These are the test beds for the generic estimators: a Gaussian location
-model whose artificial posterior is conjugate (closed-form moments), and a
-scalar Poisson log-link model for quadrature checks.
+These are the test beds for the generic estimators, each with its exact
+score and observed information: a Gaussian location model whose artificial
+posterior is conjugate, and a scalar Poisson log-link model.
 """
 
 from __future__ import annotations
@@ -16,8 +16,10 @@ from .perturbation import PerturbationKernel
 
 __all__ = [
     "gaussian_location_model",
+    "gaussian_location_derivatives",
     "conjugate_posterior_moments",
     "poisson_loglink_model",
+    "poisson_loglink_derivatives",
 ]
 
 
@@ -52,6 +54,12 @@ def gaussian_location_model(y=0.0, obs_sd: float = 1.0, dim: int = 1) -> General
         return np.subtract(const, s, out=s)
 
     return GeneralModel(dim=dim, log_likelihood=log_likelihood)
+
+
+def gaussian_location_derivatives(theta, y=0.0, obs_sd: float = 1.0) -> tuple:
+    """The exact (score, information) of ``gaussian_location_model``."""
+    theta = np.asarray(theta, dtype=np.float64)
+    return (y - theta) / obs_sd**2, np.eye(theta.size) / obs_sd**2
 
 
 def conjugate_posterior_moments(
@@ -91,3 +99,10 @@ def poisson_loglink_model(y: int) -> GeneralModel:
             return y * t - np.exp(t) + const
 
     return GeneralModel(dim=1, log_likelihood=log_likelihood)
+
+
+def poisson_loglink_derivatives(theta, y: int) -> tuple:
+    """The exact (score, information) of ``poisson_loglink_model(y)``."""
+    with np.errstate(over="ignore"):
+        rate = np.exp(theta[0])
+    return np.array([y - rate]), np.array([[rate]])

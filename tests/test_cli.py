@@ -254,6 +254,15 @@ def test_bad_nonlinear_model_value_is_a_config_error(tmp_path, capsys, old, new,
     assert not out.exists()
 
 
+def test_oracle_on_a_kind_without_one_is_a_config_error(tmp_path, capsys):
+    # nonlinear-ar1 leaves its oracle slot empty
+    config = write(tmp_path, NONLINEAR_POINT, "nonlinear.ini")
+    out = tmp_path / "oracle.csv"
+    assert main(["oracle", "--config", config, "--out", str(out)]) == EXIT_CONFIG
+    assert "(key: estimator.method)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_nonlinear_model_defaults_unset_scales_to_zero(tmp_path):
     explicit = NONLINEAR_POINT
     implicit = explicit.replace("log_sigma_v = 0.0\nlog_sigma_w = 0.0\n", "")

@@ -28,6 +28,7 @@ from dfscore.harness import (
     _SCHEMA,
     _GridPoint,
     _run_one,
+    _spawn,
 )
 
 CONJUGATE_INI = """
@@ -282,8 +283,7 @@ def test_substream_collisions_absent_on_one_million_derivations():
     for base in range(10):
         for grid in range(100):
             for rep in range(1000):
-                ss = np.random.SeedSequence((base, grid, rep))
-                seen.add(ss.generate_state(2, np.uint64).tobytes())
+                seen.add(_spawn(base, grid, rep).generate_state(2, np.uint64).tobytes())
     assert len(seen) == 10 * 100 * 1000
 
 
@@ -524,6 +524,14 @@ def test_slope_filters_nonpositive_with_warning():
     assert fit.n_filtered == 1
     with pytest.raises(ValueError):
         fit_loglog_slope([1.0, 2.0], [1.0, 2.0])
+
+
+def test_slope_needs_three_distinct_x_values():
+    # points on one x leave the slope undefined: say so, do not divide by zero
+    with pytest.raises(ValueError, match="3 distinct positive x values"):
+        fit_loglog_slope([10.0, 10.0, 10.0], [1.0, 2.0, 3.0])
+    fit = fit_loglog_slope([1.0, 2.0, 2.0, 4.0], [1.0, 4.0, 4.0, 16.0])
+    assert fit.slope == pytest.approx(2.0, abs=1e-12) and fit.n_points == 4
 
 
 def test_fit_rate_slope_skips_rows_without_an_estimate_or_an_oracle():
