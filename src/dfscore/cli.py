@@ -12,11 +12,13 @@ Exit codes: 0 success, 2 config error, 3 all runs failed.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
 from .harness import (
     ConfigError,
+    _read_axes,
     compare_fd,
     fit_rate_slope,
     load_config,
@@ -28,6 +30,13 @@ from .harness import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ALL_FAILED = 3
+
+
+def _threads(text: str) -> int:
+    threads = int(text)
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {threads}")
+    return threads
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="path to the INI config")
         cmd.add_argument("--out", required=True, help="output CSV path")
         cmd.add_argument("--seed", type=int, default=None, help="override base seed")
-        cmd.add_argument("--threads", type=int, default=1, help="worker pool size")
+        cmd.add_argument("--threads", type=_threads, default=1, help="worker pool size")
         cmd.add_argument(
             "--timings",
             action="store_true",
@@ -61,20 +70,33 @@ _SWEEP_AXIS = {"sweep-tau": "tau", "sweep-n": "n", "sweep-lag": "delta"}
 
 
 def _check_grids(config, command) -> None:
-    """``estimate`` takes one point per grid, a sweep at least two on its
-    axis; under a tau_rule the tau axis is the n axis.  ``compare-fd``
-    needs two replications for its variances."""
+    """``estimate`` takes one point on each grid axis the method reads, a
+    sweep at least two on its axis, which the method must read; under a
+    tau_rule the tau axis is the n axis.  ``compare-fd`` needs two
+    replications for its variances."""
     if command == "compare-fd" and config.replications < 2:
         raise ConfigError("compare-fd needs two or more replications", key="run.replications")
     axis = _SWEEP_AXIS.get(command)
     if axis == "tau" and config.tau_rule:
         axis = "n"
+    read = _read_axes(config)
+    if axis and axis not in read:
+        raise ConfigError(f"method {config.method} does not read {axis}", key="grid." + axis)
     grids = {"tau": config.taus, "n": config.ns, "delta": config.deltas, "h": config.hs}
     for name, grid in grids.items():
-        if command == "estimate" and len(grid) != 1:
+        if command == "estimate" and name in read and len(grid) != 1:
             raise ConfigError("estimate needs one point per grid", key="grid." + name)
         if name == axis and len(grid) < 2:
             raise ConfigError(f"{command} needs two or more points", key="grid." + name)
+
+
+def _check_out(path) -> None:
+    """``--out`` names a file that can be written; checked before any run,
+    without creating it."""
+    folder = os.path.dirname(path) or "."
+    target = path if os.path.exists(path) else folder
+    if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(target, os.W_OK):
+        raise ConfigError(f"cannot write {path}", key="--out")
 
 
 def main(argv=None) -> int:
@@ -86,6 +108,7 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             config = replace(config, method="oracle", replications=1)
         _check_grids(config, args.command)
+        _check_out(args.out)
         if args.command == "compare-fd":
             records, table = compare_fd(config, threads=args.threads)
             write_compare_csv(table, args.out)

@@ -515,14 +515,31 @@ class _GridPoint:
     h: float
 
 
+def _read_axes(config: ExperimentConfig) -> set:
+    """The [grid] axes the method reads, as its ``_columns`` list them.
+    Under a tau_rule the (tau, n) pairs are one axis, n, read when tau or n
+    is."""
+    read = {"n" if name == "n_particles" else name for name in _columns(config)}
+    if config.tau_rule and "tau" in read:
+        read = (read - {"tau"}) | {"n"}
+    return read
+
+
 def _build_grid(config: ExperimentConfig) -> list:
+    """Every combination of the values on the axes the method reads; an axis
+    it does not read keeps its first value."""
+    read = _read_axes(config)
+
+    def axis(key, values):
+        return values if key in read else values[:1]
+
     if config.tau_rule:
         match = _TAU_RULE_RE.match(config.tau_rule)
         exponent = float(Fraction(int(match.group(1)), int(match.group(2))))
-        tau_n = [(float(n) ** exponent, n) for n in config.ns]
+        tau_n = axis("n", [(float(n) ** exponent, n) for n in config.ns])
     else:
-        tau_n = [(tau, n) for tau in config.taus for n in config.ns]
-    axes = itertools.product(tau_n, config.deltas, config.hs)
+        tau_n = [(tau, n) for tau in axis("tau", config.taus) for n in axis("n", config.ns)]
+    axes = itertools.product(tau_n, axis("delta", config.deltas), axis("h", config.hs))
     return [
         _GridPoint(index, tau, n, delta, h)
         for index, ((tau, n), delta, h) in enumerate(axes)
@@ -655,14 +672,20 @@ _SOURCES = {
 }
 
 
-def _grid_cells(columns: tuple, config: ExperimentConfig, point: _GridPoint) -> dict:
-    """The tau/h/delta/n_particles cells of a run's rows; unlisted ones are
-    None, and exact FD leaves n_particles blank."""
-    grid = {"tau": point.tau, "h": point.h, "delta": point.delta, "n_particles": point.n}
-    cells = {name: grid[name] if name in columns else None for name in grid}
+def _columns(config: ExperimentConfig) -> tuple:
+    """The optional cells the method's rows fill; exact FD reads no n."""
+    columns = _SOURCES[config.method.partition("-")[0]].columns
     if config.method.startswith("fd-") and config.loglik_source == "exact":
-        cells["n_particles"] = None
-    return cells
+        columns = tuple(name for name in columns if name != "n_particles")
+    return columns
+
+
+def _grid_cells(config: ExperimentConfig, point: _GridPoint) -> dict:
+    """The tau/h/delta/n_particles cells of a run's rows; those the method
+    does not read are None."""
+    grid = {"tau": point.tau, "h": point.h, "delta": point.delta, "n_particles": point.n}
+    columns = _columns(config)
+    return {name: grid[name] if name in columns else None for name in grid}
 
 
 def _run_one(config: ExperimentConfig, bundle, point, rep) -> list:
@@ -682,7 +705,7 @@ def _run_one(config: ExperimentConfig, bundle, point, rep) -> list:
         arrays = [np.empty((d, d) if target == "oim" else d)]
     wall = (time.perf_counter() - t0) * 1e3
 
-    cells = _grid_cells(entry.columns, config, point)
+    cells = _grid_cells(config, point)
     oracles = (None, None)
     if "oracle" in entry.columns and bundle.oracle is not None:
         oracles = bundle.oracle

@@ -21,36 +21,35 @@ and ``theta_t - theta = P_{t+1} - P_t``.  Centring keeps both differences
 at the scale of the draws.
 
 The prefix sums live in a ring of ``slots = min(2*lag + 2, T + 1)`` slots
-(prefix ``k`` in slot ``k % slots``).  Slot ``k`` is written at step
-``k - 1`` for the particles alive then, its generation.  The ring has two
-parts:
+(prefix ``k`` in slot ``k % slots``), one ``(d, n)`` float64 buffer per slot,
+component-major (one contiguous row of ``n`` per coordinate).  Slot ``k`` is
+written at step ``k - 1`` for the particles alive then, its generation.
+Separate slot buffers need no single ``slots * d * n`` block, which a
+fragmented heap may not have free.  A live slot holds ``P_k`` in one of two
+particle orders, set by a checkpoint generation ``base``:
 
-* ``values``, one ``(d, n)`` float64 buffer per slot: slot ``k % slots``
-  holds ``P_k`` of its generation's particles, component-major (one
-  contiguous row of ``n`` per coordinate).  A slot is written once and
-  never moved.  Separate slot buffers need no single ``slots * d * n``
-  block, which a fragmented heap may not have free.
-* a checkpointed lineage ``table``, one ``(n,)`` int32 row per slot,
-  indexed by the particles of a checkpoint generation ``base``:
-  ``table[k % slots][j]`` is the column, within slot ``k``, of the
-  ancestor of ``base`` particle ``j``.  It is valid for the slots of
-  generations up to ``base``.  A ``cursor`` maps the current particles to
-  their ``base`` ancestors (``None`` while it is the identity), and the
-  ancestors drawn since ``base`` are kept as int32.
+* the slots of generations up to ``base`` are indexed by the ``base``
+  particles;
+* the slots written since ``base`` are indexed by their own generation's
+  particles.
 
-Looking a prefix up is ``values[k].take(table[k].take(cursor), axis=1)``.
-Resampling costs one ``n``-gather of the cursor, and the ring write at
-step ``u`` reads slot ``u`` through the last ancestors directly.  A read-off
-at step ``u`` touches only slots of generation ``<= u - lag``, so the table
-is rebased on the current particles once ``base`` falls behind that, every
-``lag + 1`` steps, and at the last step, whose tail read-offs reach the
-newest slot.  The rebase moves the table's live rows through the cursor and
-fills the rows of the slots written since ``base`` by one backward
-composition of the stored ancestors, releasing each as it goes.  Both take
-``O(n)`` per slot, so the lineage costs ``O(n)`` per step amortized,
-whatever the lag.  Every prefix and every difference is the same float a
-ring of per-particle paths would hold.  At lag 0 there is no window and the
-read-off uses the current draws directly, without a ring.
+A ``cursor`` maps the current particles to their ``base`` ancestors
+(``None`` while it is the identity), and the ancestors drawn since ``base``
+are kept as int32.  Looking a prefix up is one gather,
+``values[k].take(cursor, axis=1)``, or the slot itself while the cursor is
+``None``.  Resampling costs one ``n``-gather of the cursor, and the ring
+write at step ``u`` reads slot ``u`` through the last ancestors directly.  A
+read-off at step ``u`` touches only slots of generation ``<= u - lag``, so
+the ring is rebased on the current particles once ``base`` falls behind
+that, every ``lag + 1`` steps, and at the last step, whose tail read-offs
+reach the newest slot.  The rebase gathers the slots written since ``base``
+through the stored ancestors, composed backwards from the newest and each
+released as it is used, and the older live slots through the cursor.  Each
+slot costs one ``O(d n)`` gather per rebase, so the bookkeeping costs
+``O(d n)`` per step amortized, whatever the lag.  A gather moves floats
+without changing them, so every prefix and every difference is the same
+float a ring of per-particle paths would hold.  At lag 0 there is no window
+and the read-off uses the current draws directly, without a ring.
 
 Particles are otherwise stored struct-of-arrays: parameters component-major
 (the sampler's ``(n, d)`` draws are the transpose of a ``(d, n)`` buffer,
@@ -189,11 +188,11 @@ class FixedLagAccumulator:
 
     def save_moments_csv(self, path) -> None:
         """Rows ``t,component,mean,var_diag`` with 1-based indices."""
-        rows = [
+        entries = [
             (t + 1, i + 1, self.means[t, i], self.covariances[t, i, i])
             for t, i in np.ndindex(self.means.shape)
         ]
-        _write_csv(path, ("t", "component", "mean", "var_diag"), rows)
+        _write_csv(path, ("t", "component", "mean", "var_diag"), entries)
 
 
 def resample(weights, scheme: str, rng: np.random.Generator) -> np.ndarray:
@@ -256,8 +255,6 @@ def run_extended_bootstrap(
         slots = min(2 * lag + 2, horizon + 1)
         # P_0 = 0 in slot 0; every other slot is written before it is read
         values = [np.zeros((d, n))] + [np.empty((d, n)) for _ in range(slots - 1)]
-        rows = np.arange(n, dtype=np.int32)
-        table = [rows] * slots  # rows are replaced, never written in place
         base, cursor = 0, None
         since = []  # int32 ancestors of steps base+1.., None where none were drawn
     means = np.full((horizon, d), np.nan)
@@ -272,9 +269,8 @@ def run_extended_bootstrap(
 
     def prefix(k):
         """``P_k`` of the current particles, ``(d, n)``."""
-        k %= slots
-        cols = table[k] if cursor is None else table[k].take(cursor)
-        return values[k].take(cols, axis=1)
+        p_k = values[k % slots]
+        return p_k if cursor is None else p_k.take(cursor, axis=1)
 
     def read_off(t, u, w):
         readoff_horizon[t] = u + 1
@@ -326,16 +322,18 @@ def run_extended_bootstrap(
                 p_u = p_u.take(ancestors, axis=1)
             np.add(p_u, thetas.T - theta[:, None], out=values[new])
             if u - lag > base or u == horizon - 1:
-                # rebase the table on the current particles
-                table[new] = rows
+                # rebase: index every live slot by the current particles
+                path = None  # current particles -> the generation of slot k
                 for k in range(u, base + 1, -1):
                     a = since.pop()  # the ancestors drawn at step k - 1
-                    after = table[(k + 1) % slots]
-                    table[k % slots] = after if a is None else a.take(after)
+                    if a is not None:
+                        path = a if path is None else a.take(path)
+                    if path is not None:
+                        values[k % slots] = values[k % slots].take(path, axis=1)
                 if cursor is not None:
                     # read-offs from step u on reach back to prefix u - 2*lag
                     for k in range(max(0, u - 2 * lag), base + 2):
-                        table[k % slots] = table[k % slots].take(cursor)
+                        values[k % slots] = values[k % slots].take(cursor, axis=1)
                 base, cursor = u, None
 
         t = u - lag

@@ -648,3 +648,66 @@ def test_sweep_tau_under_a_tau_rule_needs_two_n_points(tmp_path, capsys):
     assert main(["sweep-tau", "--config", config, "--out", str(out)]) == EXIT_CONFIG
     assert "(key: grid.n)" in capsys.readouterr().err
     assert not out.exists()
+
+
+# is-score reads tau and n, not delta or h
+UNREAD_AXES = IS_SWEEP.replace("n = 500", "n = 500\ndelta = 0, 2, 5\nh = 0.1, 0.2")
+
+
+def test_grid_spans_only_the_axes_the_method_reads(tmp_path):
+    # the parent wrote 24 rows for each call: 12 grid points, blank on delta and h
+    config = write(tmp_path, UNREAD_AXES, "unread.ini")
+    sweep, oracle = tmp_path / "sweep.csv", tmp_path / "oracle.csv"
+    assert main(["sweep-tau", "--config", config, "--out", str(sweep)]) == EXIT_OK
+    with open(sweep, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["run_id"], row["tau"]) for row in rows] == [
+        ("is-score.g000.r0000", "0.2"), ("is-score.g000.r0001", "0.2"),
+        ("is-score.g001.r0000", "0.1"), ("is-score.g001.r0001", "0.1"),
+    ]
+    assert main(["oracle", "--config", config, "--out", str(oracle)]) == EXIT_OK
+    assert len(oracle.read_text().splitlines()) == 1 + 2  # one score and one info row
+    point = write(tmp_path, UNREAD_AXES.replace("tau = 0.2, 0.1", "tau = 0.2"), "point.ini")
+    out = tmp_path / "point.csv"
+    assert main(["estimate", "--config", point, "--out", str(out)]) == EXIT_OK
+    # estimate's one-point rule holds on tau and n only, and its point is g000
+    assert out.read_text().splitlines() == sweep.read_text().splitlines()[:3]
+
+
+@pytest.mark.parametrize(
+    "command, base, key",
+    [
+        ("sweep-lag", UNREAD_AXES, "grid.delta"),
+        ("sweep-n", QUAD_POINT.replace("n = 500", "n = 500, 1000"), "grid.n"),
+        ("sweep-tau", FD_POINT.replace("tau = 0.1", "tau = 0.2, 0.1"), "grid.tau"),
+    ],
+    ids=["delta-on-is", "n-on-quad", "tau-on-exact-fd"],
+)
+def test_sweep_over_an_axis_the_method_does_not_read_is_a_config_error(
+    tmp_path, capsys, command, base, key
+):
+    config = write(tmp_path, base, "unread.ini")
+    out = tmp_path / "unread.csv"
+    assert main([command, "--config", config, "--out", str(out)]) == EXIT_CONFIG
+    assert f"(key: {key})" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_out_that_cannot_be_written_is_a_config_error_before_any_run(tmp_path, capsys):
+    # the parent ran every replication, then raised FileNotFoundError
+    config = write(tmp_path, SMC_POINT, "smc.ini")
+    for out in (tmp_path / "missing" / "out.csv", tmp_path):
+        assert main(["estimate", "--config", config, "--out", str(out)]) == EXIT_CONFIG
+        assert "(key: --out)" in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_a_usage_error(tmp_path, capsys, threads):
+    config = write(tmp_path, IS_POINT, "is.ini")
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--config", config, "--out", str(out), "--threads", threads])
+    assert exc.value.code == EXIT_CONFIG
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
