@@ -2,9 +2,11 @@
 
 Subcommands: ``estimate``, ``sweep-tau``, ``sweep-n``, ``sweep-lag``,
 ``compare-fd``, ``oracle``.  All take ``--config`` and ``--out``; ``--seed``
-overrides the config's base seed, ``--threads`` sizes the worker pool, and
-``--timings`` opts into writing wall-clock times (which breaks byte-level
-reproducibility of the output and is therefore off by default).
+overrides the config's base seed, ``--threads`` sizes the thread pool that
+IS and quadrature runs share (filter and FD runs hold the GIL, so they stay
+in the calling thread), and ``--timings`` opts into writing wall-clock times
+(which breaks byte-level reproducibility of the output and is therefore off
+by default).
 
 Exit codes: 0 success, 2 config error, 3 all runs failed.
 """
@@ -57,7 +59,11 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="path to the INI config")
         cmd.add_argument("--out", required=True, help="output CSV path")
         cmd.add_argument("--seed", type=int, default=None, help="override base seed")
-        cmd.add_argument("--threads", type=_threads, default=1, help="worker pool size")
+        cmd.add_argument(
+            "--threads", type=_threads, default=1,
+            help="thread pool size for IS and quadrature runs; filter and FD runs "
+            "hold the GIL, so they always run on one thread",
+        )
         cmd.add_argument(
             "--timings",
             action="store_true",

@@ -648,20 +648,22 @@ _ORACLE = (lambda c, b: b.oracle is not None, "a model with an oracle", "estimat
 
 
 class _Source(NamedTuple):
-    """A moment source: its estimate, the optional cells its rows fill, and
-    what it needs of the model."""
+    """A moment source: its estimate, the optional cells its rows fill, what
+    it needs of the model, and whether its runs go to the thread pool."""
 
     estimate: Callable  # (task, target) -> list of score / information arrays
     columns: tuple  # of tau, h, delta, n_particles, oracle
     needs: tuple
+    # large IS / quadrature array passes release the GIL; a filter's small calls do not
+    pooled: bool = False
 
 
 _SOURCES = {
     "is": _Source(
-        _is_estimate, ("tau", "n_particles", "oracle"), (_GENERAL, _KERNEL, _TAU)
+        _is_estimate, ("tau", "n_particles", "oracle"), (_GENERAL, _KERNEL, _TAU), True
     ),
     "quad": _Source(
-        _quad_estimate, ("tau", "oracle"), (_GENERAL, _AT_MOST_2D, _KERNEL, _TAU)
+        _quad_estimate, ("tau", "oracle"), (_GENERAL, _AT_MOST_2D, _KERNEL, _TAU), True
     ),
     # FD on SMC likelihoods reports the particles per stencil node
     "fd": _Source(_fd_estimate, ("h", "n_particles", "oracle"), (_LOGLIK,)),
@@ -740,6 +742,8 @@ def _run_one(config: ExperimentConfig, bundle, point, rep) -> list:
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> list:
     """Run all grid points and replications; returns sorted RunRecords.
 
+    Only IS and quadrature runs use a pool of ``threads``; SMC, FD and oracle
+    runs hold the GIL, so they run in the calling thread.  Records are the same.
     Raises ConfigError before any run when the model lacks what the method
     needs or the dimensions disagree.
     """
@@ -752,13 +756,12 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list:
             )
     grid = _build_grid(config)
     tasks = [(point, rep) for point in grid for rep in range(config.replications)]
-    if threads > 1:
+    run = lambda task: _run_one(config, bundle, *task)
+    if threads > 1 and len(tasks) > 1 and _SOURCES[source].pooled:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(
-                pool.map(lambda t: _run_one(config, bundle, t[0], t[1]), tasks)
-            )
+            chunks = list(pool.map(run, tasks))
     else:
-        chunks = [_run_one(config, bundle, point, rep) for point, rep in tasks]
+        chunks = list(map(run, tasks))
     records = [record for chunk in chunks for record in chunk]
     records.sort(key=lambda r: (r.run_id, r.comp_i, r.comp_j if r.comp_j else 0))
     return records
@@ -868,7 +871,8 @@ def compare_fd(config: ExperimentConfig, threads: int = 1):
     ``_compare_pair`` builds the two configs; on a general model the FD
     variance column is exactly zero.  Returns ``(records, table_rows)``
     where the table aggregates per-method bias, variance and MSE per
-    component plus the FD/proposed variance ratio.
+    component plus the FD/proposed variance ratio.  ``threads`` goes to
+    ``run_experiment``, so only an IS or quadrature side uses the pool.
     """
     runs = _compare_pair(config)
     records = [r for run in runs for r in run_experiment(run, threads=threads)]

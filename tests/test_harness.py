@@ -2,12 +2,14 @@
 
 import math
 import re
+import threading
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dfscore.harness as harness
 from dfscore.harness import (
     MODEL_KINDS,
     RUN_RECORD_FIELDS,
@@ -309,14 +311,83 @@ def test_record_cardinality_score_and_info():
     assert all(r.oracle is not None and r.abs_error is not None for r in records)
 
 
-def test_runs_are_reproducible_and_thread_invariant(tmp_path):
-    config = base_config(taus=(0.1, 0.2), replications=3)
+def lgssm_config(**overrides):
+    kwargs = dict(
+        model_kind="lgssm",
+        model_params={
+            "free": ("phi",),
+            "log_sigma_v": 0.0,
+            "log_sigma_w": 0.0,
+            "init": "fixed",
+            "init_sd": 1.0,
+            "theta_true": (0.6,),
+            "data_seed": 4,
+            "horizon": 10,
+        },
+        theta=(0.5,),
+        taus=(0.05,),
+        ns=(200,),
+        deltas=(3,),
+        kernel_sigmas=(2.0,),
+    )
+    kwargs.update(overrides)
+    return base_config(**kwargs)
+
+
+# one config per moment source, each with more than one run
+THREAD_CASES = {
+    "is-score": base_config(taus=(0.1, 0.2), replications=3),
+    "is-oim": base_config(method="is-oim", taus=(0.1, 0.2), replications=3),
+    "quad-oim": base_config(method="quad-oim", taus=(0.1, 0.2), replications=2),
+    "smc-score": lgssm_config(method="smc-score", replications=3),
+    "smc-oim": lgssm_config(method="smc-oim", replications=3),
+    "fd-score-smc": lgssm_config(method="fd-score", loglik_source="smc", replications=3),
+    "fd-oim-exact": base_config(method="fd-oim", hs=(0.1, 0.2), replications=2),
+    "oracle": base_config(method="oracle", taus=(0.1, 0.2), replications=2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(THREAD_CASES))
+def test_runs_are_reproducible_and_thread_invariant(tmp_path, case):
+    config = THREAD_CASES[case]
     a = run_experiment(config, threads=1)
     b = run_experiment(config, threads=2)
     pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
     write_records_csv(a, pa)
     write_records_csv(b, pb)
     assert pa.read_bytes() == pb.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        lgssm_config(method="smc-oim", replications=3, compare_smc_n=400),
+        base_config(method="is-oim", replications=3, compare_smc_n=2000),
+    ],
+    ids=["lgssm", "conjugate-gaussian"],
+)
+def test_compare_fd_tables_are_thread_invariant(tmp_path, config):
+    paths = [tmp_path / "t1.csv", tmp_path / "t2.csv"]
+    for threads, path in zip((1, 2), paths):
+        write_compare_csv(compare_fd(config, threads=threads)[1], path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(THREAD_CASES))
+def test_only_is_and_quadrature_runs_use_the_thread_pool(monkeypatch, case):
+    # a filter's small numpy calls hold the GIL, so a second thread only slows them
+    seen = set()
+
+    def spy(*args):
+        seen.add(threading.get_ident())
+        return _run_one(*args)
+
+    monkeypatch.setattr(harness, "_run_one", spy)
+    run_experiment(THREAD_CASES[case], threads=2)
+    if case.startswith(("is-", "quad-")):
+        assert seen and threading.get_ident() not in seen
+    else:
+        assert seen == {threading.get_ident()}
 
 
 def test_csv_header_is_pinned_schema_v1(tmp_path):
