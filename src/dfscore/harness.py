@@ -445,7 +445,7 @@ _SCHEMA = {
 def load_config(path, compare: bool = False) -> ExperimentConfig:
     """Parse an experiment config file; ExperimentConfig checks the values.
     A key given in the file must be read by the method or, with ``compare``,
-    by a method ``compare_fd`` runs, which sets ``loglik_source`` itself."""
+    by a method ``compare_fd`` runs, which sets ``loglik_source`` and ``n``."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     if not parser.read(path):
         raise ConfigError(f"cannot read config file {path}")
@@ -475,8 +475,8 @@ def load_config(path, compare: bool = False) -> ExperimentConfig:
     runs = _compare_pair(config) if compare else (config,)
     methods = " or ".join(run.method for run in runs)
     for name, row in given:
-        if compare and row.field == "loglik_source":
-            raise ConfigError("compare-fd picks loglik_source by model kind", key=name)
+        if compare and row.field in ("loglik_source", "ns"):
+            raise ConfigError(f"compare-fd sets {name} from the model and [compare]", key=name)
         if not any(run.method.partition("-")[0] in row.methods for run in runs):
             raise ConfigError(f"{name} does not apply to method {methods}", key=name)
     return config

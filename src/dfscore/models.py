@@ -11,13 +11,11 @@ import math
 
 import numpy as np
 
-from .general import GeneralModel, PosteriorMoments
-from .perturbation import PerturbationKernel
+from .general import GeneralModel
 
 __all__ = [
     "gaussian_location_model",
     "gaussian_location_derivatives",
-    "conjugate_posterior_moments",
     "poisson_loglink_model",
     "poisson_loglink_derivatives",
 ]
@@ -60,26 +58,6 @@ def gaussian_location_derivatives(theta, y=0.0, obs_sd: float = 1.0) -> tuple:
     """The exact (score, information) of ``gaussian_location_model``."""
     theta = np.asarray(theta, dtype=np.float64)
     return (y - theta) / obs_sd**2, np.eye(theta.size) / obs_sd**2
-
-
-def conjugate_posterior_moments(
-    theta, tau: float, kernel: PerturbationKernel, y=0.0, obs_sd: float = 1.0
-) -> PosteriorMoments:
-    """Closed-form artificial-posterior moments for the Gaussian location model.
-
-    With prior N(theta, tau^2 sigma_i^2) per coordinate and likelihood
-    N(y_i, obs_sd^2), the posterior is Gaussian with
-    mean ``theta + tau^2 sigma_i^2 (y_i - theta_i) / (obs_sd^2 + tau^2 sigma_i^2)``
-    and variance ``tau^2 sigma_i^2 obs_sd^2 / (obs_sd^2 + tau^2 sigma_i^2)``.
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    d = kernel.dim
-    y = np.broadcast_to(np.asarray(y, dtype=np.float64), (d,))
-    prior_var = tau**2 * kernel.variances()
-    denom = obs_sd**2 + prior_var
-    mean = theta + prior_var * (y - theta) / denom
-    var = prior_var * obs_sd**2 / denom
-    return PosteriorMoments(mean=mean, covariance=np.diag(var), ess=None, n=None)
 
 
 def poisson_loglink_model(y: int) -> GeneralModel:

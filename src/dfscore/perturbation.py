@@ -2,14 +2,15 @@
 
 The prior is a centered Gaussian with diagonal covariance, scaled by a
 shrinkage factor ``tau``: a draw is ``center + tau * (sigmas * z)`` with
-``z`` standard normal.  Coordinate-wise independence and Gaussian kurtosis
-(fourth moment exactly ``3 * sigma**4``) are what the downstream
-information-matrix identity requires, so no other prior family is shipped.
+``z`` standard normal from the caller's generator, which tests replay on
+the same seed.  Coordinate-wise independence and Gaussian kurtosis (fourth
+moment exactly ``3 * sigma**4``) are what the downstream information-matrix
+identity requires, so no other prior family is shipped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,10 +22,10 @@ class PerturbationKernel:
     """Centered Gaussian prior with per-coordinate standard deviations.
 
     Immutable after construction; safe to share across concurrent tasks.
-    Every sampling call receives its own random stream.
+    Every sampling call draws from the random stream it is given.
     """
 
-    sigmas: np.ndarray = field(repr=True)
+    sigmas: np.ndarray
 
     def __post_init__(self):
         sigmas = np.atleast_1d(np.asarray(self.sigmas, dtype=np.float64))
@@ -44,21 +45,18 @@ class PerturbationKernel:
         """Diagonal of the covariance matrix."""
         return self.sigmas**2
 
-    def sample(self, center, tau, rng=None, size=None, z=None):
+    def sample(self, center, tau, rng, size=None):
         """Draw from the prior centered at ``center`` with scale ``tau``.
 
-        ``tau = 0`` is the degenerate point mass at the center: without
-        ``z`` the draw is a fill of ``center`` that consumes no randomness,
-        so ``rng`` is left as it was.  ``z`` injects pre-drawn standard
-        normals (shape ``(dim,)`` or ``(size, dim)``) in place of drawing
-        from ``rng``; tests use it to check symmetry and scale identities
-        exactly.
+        ``tau = 0`` is the degenerate point mass at the center: the draw is
+        a fill of ``center`` that consumes no randomness, so ``rng`` is left
+        as it was.
 
         Returns shape ``(dim,)`` when ``size`` is None, else ``(size, dim)``.
         A batch is the transpose of a C-contiguous ``(dim, size)`` buffer,
         so each coordinate's draws are contiguous; the values are those of
-        ``center + tau * (sigmas * z)`` bit for bit, except that a ``tau = 0``
-        fill keeps the sign of a zero in ``center``.
+        ``center + tau * (sigmas * rng.standard_normal(shape))`` bit for bit,
+        except that a ``tau = 0`` fill keeps the sign of a zero in ``center``.
         """
         center = np.asarray(center, dtype=np.float64)
         if center.shape != (self.dim,):
@@ -68,20 +66,12 @@ class PerturbationKernel:
         if tau < 0.0:
             raise ValueError("tau must be >= 0")
         shape = (self.dim,) if size is None else (size, self.dim)
-        if z is None:
-            if rng is None:
-                raise ValueError("either rng or z must be supplied")
-            if tau == 0.0:
-                out = np.empty(shape[::-1]).T
-                out[...] = center
-                return out
-            z = rng.standard_normal(shape)
-        else:
-            z = np.asarray(z, dtype=np.float64)
-            if z.shape != shape:
-                raise ValueError(f"z has shape {z.shape}, expected {shape}")
-        # the (size, dim) transpose of a C-contiguous (dim, size) copy of z
-        out = z.T.copy().T
+        if tau == 0.0:
+            out = np.empty(shape[::-1]).T
+            out[...] = center
+            return out
+        # the (size, dim) transpose of a C-contiguous (dim, size) copy of the draw
+        out = rng.standard_normal(shape).T.copy().T
         out *= self.sigmas
         out *= tau
         out += center

@@ -15,8 +15,10 @@ import pytest
 import dfscore as dfs
 from dfscore.cli import main as cli_main
 from dfscore.harness import fit_loglog_slope
-from dfscore.models import conjugate_posterior_moments, gaussian_location_model
+from dfscore.models import gaussian_location_model
 from dfscore.smc import ExtendedFilterConfig
+
+from conftest import conjugate_posterior_moments
 
 K1 = dfs.make_gaussian_kernel([1.0])
 THETA1 = np.array([1.0])
@@ -350,12 +352,14 @@ def test_criterion_10_cli_determinism(tmp_path):
         ssm_point.write_text(CLI_SSM.format(n="200", delta="2"))
         ssm_lag = tmp_path / "ssm_lag.ini"
         ssm_lag.write_text(CLI_SSM.format(n="200", delta="0, 2"))
+        ssm_compare = tmp_path / "ssm_compare.ini"  # compare-fd sets n itself
+        ssm_compare.write_text(CLI_SSM.format(n="200", delta="2").replace("n = 200\n", ""))
         jobs = [
             ("estimate", general),
             ("sweep-tau", general_sweep),
             ("sweep-n", general_nsweep),
             ("sweep-lag", ssm_lag),
-            ("compare-fd", ssm_point),
+            ("compare-fd", ssm_compare),
             ("oracle", ssm_point),
         ]
         for command, config in jobs:
@@ -367,6 +371,17 @@ def test_criterion_10_cli_determinism(tmp_path):
                 )
                 assert code == 0, (command, code)
             assert out_a.read_bytes() == out_b.read_bytes(), command
+
+
+def test_compare_fd_rejects_a_grid_n_it_would_ignore(tmp_path, capsys):
+    # compare-fd runs n = smc_n and smc_n // (#nodes), so it could only
+    # ignore a given n
+    config = tmp_path / "ssm.ini"
+    config.write_text(CLI_SSM.format(n="200", delta="2"))
+    out = tmp_path / "cmp.csv"
+    assert cli_main(["compare-fd", "--config", str(config), "--out", str(out)]) == 2
+    assert "(key: grid.n)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_criterion_11_fd_baselines(tmp_path):

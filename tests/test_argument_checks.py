@@ -136,7 +136,6 @@ ARGUMENT_CHECKS = {
     "kernel-center-shape": (
         lambda: K1.sample(np.zeros(2), 0.1, RNG(0)), r"center has shape \(2,\)"
     ),
-    "kernel-no-stream": (lambda: K1.sample(np.zeros(1), 0.1), "either rng or z"),
     "kernel-tau-negative": (lambda: K1.sample(np.zeros(1), -0.1, RNG(0)), "tau must be >= 0"),
     "info-not-square": (lambda: dfs.InfoEstimate(np.zeros((2, 3))), "must be square"),
     "info-not-symmetric": (

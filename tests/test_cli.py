@@ -522,9 +522,13 @@ def test_removed_fd_particles_key_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
-COMPARE_SSM = SMC_POINT + "\n[compare]\nsmc_n = 200\n"
+# compare-fd sets n itself, so its configs give none
+COMPARE_SSM = SMC_POINT.replace("n = 200\n", "") + "\n[compare]\nsmc_n = 200\n"
 # smc-score reads ess_threshold, but compare-fd runs is-score on this model
-COMPARE_GENERAL = IS_POINT.replace("is-score", "smc-score") + "\n[compare]\nsmc_n = 500\n"
+COMPARE_GENERAL = (
+    IS_POINT.replace("is-score", "smc-score").replace("n = 500\n", "")
+    + "\n[compare]\nsmc_n = 500\n"
+)
 
 
 @pytest.mark.parametrize("method", ["fd-score", "smc-score"])

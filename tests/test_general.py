@@ -11,11 +11,9 @@ from hypothesis import strategies as st
 import dfscore as dfs
 from dfscore import kernels
 from dfscore.general import DegeneratePosteriorError, FDConfig, GeneralModel
-from dfscore.models import (
-    conjugate_posterior_moments,
-    gaussian_location_model,
-    poisson_loglink_model,
-)
+from dfscore.models import gaussian_location_model, poisson_loglink_model
+
+from conftest import conjugate_posterior_moments
 
 THETA = np.array([1.0])
 K1 = dfs.make_gaussian_kernel([1.0])

@@ -33,18 +33,10 @@ def test_tau_zero_returns_center():
         assert rng.bit_generator.state == state
 
 
-def test_injected_z_affine_map():
-    k = make_gaussian_kernel([1.0])
-    out = k.sample(np.array([1.0]), 0.1, z=np.array([2.0]))
-    assert out[0] == pytest.approx(1.2, abs=1e-15)
-
-
 def test_dimension_mismatch_errors():
     k = make_gaussian_kernel([1.0, 1.0])
     with pytest.raises(ValueError):
         k.sample(np.array([0.0]), 0.1, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        k.sample(np.zeros(2), 0.1, z=np.zeros(3))
 
 
 def test_empirical_mean_cov_of_large_sample():
@@ -80,41 +72,19 @@ def test_empirical_fourth_moment_matches_analytic():
 @given(
     sigmas=safe_sigmas,
     tau=st.floats(min_value=0.001, max_value=2.0),
-    seed=st.integers(min_value=0, max_value=2**31),
-)
-def test_symmetry_in_injected_noise(sigmas, tau, seed):
-    k = make_gaussian_kernel(sigmas)
-    d = k.dim
-    rng = np.random.default_rng(seed)
-    center = rng.normal(size=d)
-    z = rng.normal(size=d)
-    up = k.sample(center, tau, z=z)
-    down = k.sample(center, tau, z=-z)
-    # the applied offsets negate exactly; the additions each round once, so
-    # the recentered sum matches 2*center to a couple of ulps
-    np.testing.assert_array_equal(tau * (k.sigmas * z), -(tau * (k.sigmas * -z)))
-    scale = np.abs(center) + tau * k.sigmas * np.abs(z) + 1.0
-    np.testing.assert_allclose(up + down, 2 * center, rtol=0, atol=1e-14 * np.max(scale))
-
-
-@settings(max_examples=50)
-@given(
-    sigmas=safe_sigmas,
-    tau=st.floats(min_value=0.001, max_value=2.0),
     log2c=st.integers(min_value=-6, max_value=6),
     seed=st.integers(min_value=0, max_value=2**31),
 )
 def test_scale_equivalence_power_of_two(sigmas, tau, log2c, seed):
-    # (tau, Sigma) and (tau/c, c^2 Sigma) produce identical draws for the
-    # same injected noise; exact in binary floats when c is a power of two.
+    # (tau, Sigma) and (tau/c, c^2 Sigma) produce identical draws from two
+    # generators on one seed; exact in binary floats when c is a power of two.
     c = 2.0**log2c
     k1 = make_gaussian_kernel(sigmas)
     k2 = make_gaussian_kernel(np.asarray(sigmas) * c)
-    rng = np.random.default_rng(seed)
-    center = rng.normal(size=k1.dim)
-    z = rng.normal(size=k1.dim)
+    center = np.random.default_rng(seed).normal(size=k1.dim)
     np.testing.assert_array_equal(
-        k1.sample(center, tau, z=z), k2.sample(center, tau / c, z=z)
+        k1.sample(center, tau, np.random.default_rng(seed + 1)),
+        k2.sample(center, tau / c, np.random.default_rng(seed + 1)),
     )
 
 
@@ -125,17 +95,13 @@ def test_scale_equivalence_power_of_two(sigmas, tau, log2c, seed):
     size=st.one_of(st.none(), st.integers(min_value=1, max_value=7)),
     seed=st.integers(min_value=0, max_value=2**31),
 )
-def test_sample_is_bitwise_affine_map_and_keeps_injected_z(sigmas, tau, size, seed):
+def test_sample_is_bitwise_affine_map_of_replayed_draws(sigmas, tau, size, seed):
+    # the draw is center + tau * (sigmas * z) bit for bit, z being the normals
+    # a generator on the same seed replays
     k = make_gaussian_kernel(sigmas)
     shape = (k.dim,) if size is None else (size, k.dim)
-    rng = np.random.default_rng(seed)
-    center = rng.normal(size=k.dim)
-    z = rng.normal(size=shape)
-    z_before = z.copy()
-    out = k.sample(center, tau, size=size, z=z)
-    np.testing.assert_array_equal(out, center + tau * (k.sigmas * z))
-    np.testing.assert_array_equal(z, z_before)
-    assert out.shape == shape
+    center = np.random.default_rng(seed).normal(size=k.dim)
     drawn = k.sample(center, tau, np.random.default_rng(seed), size=size)
     z_drawn = np.random.default_rng(seed).standard_normal(shape)
     np.testing.assert_array_equal(drawn, center + tau * (k.sigmas * z_drawn))
+    assert drawn.shape == shape

@@ -518,7 +518,7 @@ def test_lineage_table_matches_float_ring_across_rebases(lag, resampling, ess_th
     assert_matches_float_ring(40, lag, resampling, ess_threshold)
 
 
-def test_lineage_table_matches_float_ring_when_no_resampling_spans_a_rebase():
+def test_cursor_ring_matches_float_ring_when_no_resampling_spans_a_rebase():
     # lag 1 rebases every 2 steps, so 3 steps in a row without resampling
     # hold a whole rebase period with an identity cursor
     acc = assert_matches_float_ring(40, 1, "multinomial", 0.5)
@@ -561,7 +561,7 @@ def test_lineage_is_exact_for_unsorted_ancestors(monkeypatch, lag, resampling, e
     ess_threshold=st.sampled_from([None, 0.5, 0.9]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_lineage_table_matches_float_ring_property(horizon, data, resampling, ess_threshold, seed):
+def test_cursor_ring_matches_float_ring_property(horizon, data, resampling, ess_threshold, seed):
     lag = data.draw(st.integers(0, horizon + 5), label="lag")
     assert_matches_float_ring(
         horizon, lag, resampling, ess_threshold, seed=seed, n_particles=50
