@@ -134,7 +134,7 @@ def main(argv=None) -> int:
     if args.command in ("sweep-tau", "sweep-n") and produced:
         x_field = "tau" if args.command == "sweep-tau" else "n_particles"
         try:
-            fit = fit_rate_slope(produced, x_field, "mse")
+            fit = fit_rate_slope(produced, x_field)
             print(
                 f"log-log MSE slope vs {x_field}: "
                 f"{fit.slope:.4f} +/- {fit.stderr:.4f} ({fit.n_points} points)"

@@ -813,15 +813,12 @@ def fit_loglog_slope(xs, ys) -> SlopeFit:
     return SlopeFit(slope=slope, stderr=stderr, n_points=int(xs.size), n_filtered=n_filtered)
 
 
-def fit_rate_slope(records, x_field: str, y_transform: str = "mse") -> SlopeFit:
-    """Slope of an error aggregate against a grid field, on log-log scale.
+def fit_rate_slope(records, x_field: str) -> SlopeFit:
+    """Slope of the mean squared error against a grid field, on log-log scale.
 
     Groups records by ``x_field`` (e.g. ``n_particles`` or ``tau``) and
-    aggregates ``estimate - oracle`` per group: ``mse`` means the mean
-    squared error, ``abs_bias`` the absolute mean error.
+    averages ``(estimate - oracle) ** 2`` per group.
     """
-    if y_transform not in ("mse", "abs_bias"):
-        raise ValueError("y_transform must be 'mse' or 'abs_bias'")
     groups: dict = {}
     for r in records:
         x = getattr(r, x_field)
@@ -829,14 +826,7 @@ def fit_rate_slope(records, x_field: str, y_transform: str = "mse") -> SlopeFit:
             continue
         groups.setdefault(float(x), []).append(r.estimate - r.oracle)
     xs = sorted(groups)
-    ys = []
-    for x in xs:
-        errs = np.asarray(groups[x])
-        if y_transform == "mse":
-            ys.append(float(np.mean(errs**2)))
-        else:
-            ys.append(abs(float(np.mean(errs))))
-    return fit_loglog_slope(xs, ys)
+    return fit_loglog_slope(xs, [float(np.mean(np.asarray(groups[x]) ** 2)) for x in xs])
 
 
 # ---------------------------------------------------------------------------
@@ -865,6 +855,30 @@ def _compare_pair(config: ExperimentConfig) -> tuple:
     )
 
 
+def _summary(records) -> dict:
+    """Compare-table rows of one method per component, variance_ratio unset."""
+    groups: dict = {}
+    for r in records:
+        if r.estimate is not None:
+            groups.setdefault((r.comp_i, r.comp_j), []).append(r)
+    rows = {}
+    for (comp_i, comp_j), group in sorted(groups.items()):
+        est = np.array([r.estimate for r in group])
+        oracle = group[0].oracle
+        mean = float(est.mean())
+        rows[comp_i, comp_j] = {
+            "method": group[0].method,
+            "comp_i": comp_i,
+            "comp_j": comp_j,
+            "mean_estimate": mean,
+            "oracle": oracle,
+            "abs_bias": None if oracle is None else abs(mean - oracle),
+            "variance": float(est.var(ddof=1)) if est.size > 1 else 0.0,
+            "mse": None if oracle is None else float(np.mean((est - oracle) ** 2)),
+        }
+    return rows
+
+
 def compare_fd(config: ExperimentConfig, threads: int = 1):
     """Run FD and the proposed estimator at matched likelihood budget.
 
@@ -874,34 +888,8 @@ def compare_fd(config: ExperimentConfig, threads: int = 1):
     component plus the FD/proposed variance ratio.  ``threads`` goes to
     ``run_experiment``, so only an IS or quadrature side uses the pool.
     """
-    runs = _compare_pair(config)
-    records = [r for run in runs for r in run_experiment(run, threads=threads)]
-
-    def summary(method):
-        """Table rows per component, variance_ratio still unset."""
-        groups: dict = {}
-        for r in records:
-            if r.method == method and r.estimate is not None:
-                comp = (r.comp_i, r.comp_j)
-                groups.setdefault(comp, []).append((r.estimate, r.oracle))
-        rows = {}
-        for (comp_i, comp_j), values in sorted(groups.items()):
-            est = np.array([v[0] for v in values])
-            oracle = values[0][1]
-            mean = float(est.mean())
-            rows[comp_i, comp_j] = {
-                "method": method,
-                "comp_i": comp_i,
-                "comp_j": comp_j,
-                "mean_estimate": mean,
-                "oracle": oracle,
-                "abs_bias": None if oracle is None else abs(mean - oracle),
-                "variance": float(est.var(ddof=1)) if est.size > 1 else 0.0,
-                "mse": None if oracle is None else float(np.mean((est - oracle) ** 2)),
-            }
-        return rows
-
-    proposed_rows, fd_rows = (summary(run.method) for run in runs)
+    proposed, fd = (run_experiment(run, threads=threads) for run in _compare_pair(config))
+    proposed_rows, fd_rows = _summary(proposed), _summary(fd)
     table = list(fd_rows.values()) + list(proposed_rows.values())
     for row in table:
         comp = (row["comp_i"], row["comp_j"])
@@ -912,7 +900,7 @@ def compare_fd(config: ExperimentConfig, threads: int = 1):
             if (fd_var is not None and proposed_var not in (None, 0.0))
             else None
         )
-    return records, table
+    return proposed + fd, table
 
 
 def write_compare_csv(table, path) -> None:

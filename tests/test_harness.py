@@ -618,18 +618,13 @@ def test_fit_rate_slope_skips_rows_without_an_estimate_or_an_oracle():
     assert fit.slope == pytest.approx(-2.0, abs=1e-12)
 
 
-def test_fit_rate_slope_rejects_an_unknown_transform():
-    with pytest.raises(ValueError, match="y_transform"):
-        fit_rate_slope([], "tau", "rmse")
-
-
 def test_fit_rate_slope_over_records():
     config = base_config(
         method="quad-score", taus=(0.4, 0.2, 0.1, 0.05), replications=1
     )
     records = run_experiment(config)
-    fit = fit_rate_slope(records, "tau", "abs_bias")
-    assert 1.9 <= fit.slope <= 2.1  # tau^2 bias, noise-free moments
+    fit = fit_rate_slope(records, "tau")
+    assert 3.8 <= fit.slope <= 4.2  # tau^2 bias, noise-free moments: MSE is its square
 
 
 # ---------------------------------------------------------------------------
@@ -682,6 +677,70 @@ def test_compare_fd_lgssm_emits_ratio():
     assert {row["method"] for row in table} == {"fd-score", "smc-score"}
     assert all(np.isfinite(row["variance_ratio"]) for row in table)
     assert all(row["mse"] is not None for row in table)
+
+
+COMPARE_CASES = {
+    "lgssm-score": lgssm_config(method="smc-score", replications=3, compare_smc_n=400),
+    "lgssm-oim": lgssm_config(
+        method="smc-oim", replications=3, compare_smc_n=400, compare_target="oim"
+    ),
+    "conjugate-2d-oim": base_config(
+        model_params={"dim": 2, "y": 0.3},
+        theta=(0.5, -0.1),
+        kernel_sigmas=(1.0, 0.8),
+        method="is-oim",
+        replications=3,
+        compare_smc_n=2000,
+        compare_target="oim",
+    ),
+    # one record per component: every variance is 0.0 and every ratio blank
+    "conjugate-2d-score-one-rep": base_config(
+        model_params={"dim": 2, "y": 0.3},
+        theta=(0.5, -0.1),
+        kernel_sigmas=(1.0, 0.8),
+        replications=1,
+        compare_smc_n=2000,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMPARE_CASES))
+def test_compare_fd_table_cells_follow_from_its_records(case):
+    config = COMPARE_CASES[case]
+    records, table = compare_fd(config)
+    assert table
+    runs = harness._compare_pair(config)
+    sides = [run_experiment(run) for run in runs]
+    untimed = lambda rs: [replace(r, wall_time_ms=None) for r in rs]
+    assert untimed(records) == untimed(sides[0] + sides[1])
+
+    expected = {}
+    for side in sides:
+        groups = {}
+        for r in side:
+            if r.estimate is not None:
+                groups.setdefault((r.comp_i, r.comp_j), []).append(r)
+        for comp, group in groups.items():
+            est = np.array([r.estimate for r in group])
+            oracle = group[0].oracle
+            assert all(r.oracle == oracle for r in group)
+            expected[group[0].method, *comp] = {
+                "mean_estimate": float(est.mean()),
+                "oracle": oracle,
+                "abs_bias": abs(float(est.mean()) - oracle),
+                "variance": float(est.var(ddof=1)) if est.size > 1 else 0.0,
+                "mse": float(np.mean((est - oracle) ** 2)),
+            }
+    proposed, fd = (run.method for run in runs)
+    assert [(r["method"], r["comp_i"], r["comp_j"]) for r in table] == sorted(
+        expected, key=lambda key: (key[0] != fd, key[1], key[2] or 0)
+    )
+    for row in table:
+        key = (row["method"], row["comp_i"], row["comp_j"])
+        assert {f: row[f] for f in expected[key]} == expected[key]
+        proposed_var = expected[(proposed, *key[1:])]["variance"]
+        ratio = None if proposed_var == 0 else expected[(fd, *key[1:])]["variance"] / proposed_var
+        assert row["variance_ratio"] == ratio
 
 
 def test_run_one_handles_collapse(monkeypatch):

@@ -184,6 +184,31 @@ def test_moment_kernels_are_invariant_to_particle_order(seed, n, d):
         assert np.abs(a - b).max() <= 1e-12 * scale
 
 
+def _weighted_sd(xt, w):
+    return np.sqrt((xt - (xt @ w)[:, None]) ** 2 @ w)
+
+
+@settings(max_examples=40)
+@given(**_PARTICLE_CASES)
+def test_relabelling_the_particles_moves_each_moment_within_its_own_scale(seed, n, d):
+    # one permutation of the rows of x, xs and xt and of the entries of w.
+    # Each entry is bounded by its own components' sds, fixed beforehand: an
+    # entrywise rtol fails on covariances that cancel to near zero, and the
+    # test above scales every entry by the largest one.
+    x, xt, w = _particles(seed, n, d)
+    rng = np.random.default_rng(seed + 1)
+    xs = x + rng.normal(size=x.shape) * _weighted_sd(x, w)[:, None]
+    perm = rng.permutation(n)
+    mean, cov = kernels.weighted_mean_cov(x.T, w)
+    cross = kernels.weighted_crosscov(xs.T, xt.T, w)
+    p_mean, p_cov = kernels.weighted_mean_cov(x[:, perm].T, w[perm])
+    p_cross = kernels.weighted_crosscov(xs[:, perm].T, xt[:, perm].T, w[perm])
+    sd, sd_s, sd_t = (_weighted_sd(a, w) for a in (x, xs, xt))
+    assert np.all(np.abs(p_mean - mean) <= 1e-12 * (np.abs(mean) + sd))
+    assert np.all(np.abs(p_cov - cov) <= 1e-12 * np.outer(sd, sd))
+    assert np.all(np.abs(p_cross - cross) <= 1e-12 * np.outer(sd_s, sd_t))
+
+
 @settings(max_examples=15)
 @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from(_ABOVE_BLOCK), d=st.integers(1, 4))
 def test_blocked_mean_cov_matches_the_whole_array_formula(seed, n, d):
