@@ -15,6 +15,7 @@ rescalers: importance sampling, quadrature and the extended filter (through
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -28,6 +29,7 @@ __all__ = [
     "GeneralModel",
     "PosteriorMoments",
     "DegeneratePosteriorError",
+    "OracleAccuracyWarning",
     "posterior_moments_is",
     "posterior_moments_quadrature",
     "score_from_moments",
@@ -42,6 +44,14 @@ class DegeneratePosteriorError(RuntimeError):
     """Raised when every sampled parameter has zero likelihood.
 
     Signals a mis-scaled shrinkage factor rather than a recoverable state."""
+
+
+class OracleAccuracyWarning(UserWarning):
+    """Raised when the quadrature oracle's finest grid has not converged.
+
+    ``posterior_moments_quadrature`` still returns that grid's moments, but
+    their error may far exceed the ladder's tolerance: the posterior is too
+    narrow for the grid, which spans a fixed number of prior SDs."""
 
 
 @dataclass(frozen=True)
@@ -153,21 +163,29 @@ def posterior_moments_is(
     return PosteriorMoments(mean=mean, covariance=cov, ess=ess, n=n)
 
 
-# The quadrature grid: points per axis and half-width in prior standard
-# deviations, which keep the trapezoid error far below sampling noise.
-_QUAD_POINTS = 2001
+# The quadrature ladder: the coarsest and finest nodes per axis, each level
+# 2m - 1 nodes after one of m, so each grid halves the spacing and contains
+# the one before it.  Every grid spans +-8 prior standard deviations.  A
+# level is accepted when its moments agree with the previous level's to
+# _QUAD_RTOL posterior SDs, beyond _QUAD_ULPS ulps of the nodes' magnitude,
+# and each posterior SD spans at least _QUAD_MIN_STEPS grid steps.
+_QUAD_POINTS = (2**5 + 1, 2**11 + 1)
 _QUAD_HALF_WIDTH_SDS = 8.0
+_QUAD_RTOL = 1e-12
+_QUAD_MIN_STEPS = 2.0
+_QUAD_ULPS = 8.0
 
 
 def _grid_sums(model: GeneralModel, a0, a1, log_w0, log_w1, centre1: float):
     """Streamed sums of the 2-D posterior weights on the grid ``a0 x a1``.
 
     The grid goes to ``log_likelihood`` in blocks of as many whole rows as
-    fit in ``kernels._BLOCK_ROWS`` nodes (16 rows of the 2001-point grid),
-    and every block passes the same checks as a single call would.  A
-    block's nodes are filled component-major, as a ``(2, nodes)`` buffer,
-    and passed as its ``(nodes, 2)`` transpose.  The buffer is written once
-    and reused by every block, which rewrites only the first coordinate.
+    fit in ``kernels._BLOCK_ROWS`` nodes (the whole 65-point grid in one
+    block, 15 rows of the 2049-point one), and every block passes the same
+    checks as a single call would.  A block's nodes are filled
+    component-major, as a ``(2, nodes)`` buffer, and passed as its
+    ``(nodes, 2)`` transpose.  The buffer is written once and reused by
+    every block, which rewrites only the first coordinate.
 
     With ``W[i, j] = exp(L[i, j] - shift)`` for the log-posterior
     ``L = logl + log_w0[i] + log_w1[j]``, returns ``(rows, moments, cols)``:
@@ -223,44 +241,28 @@ def _grid_sums(model: GeneralModel, a0, a1, log_w0, log_w1, centre1: float):
     return rows, moments, cols
 
 
-def posterior_moments_quadrature(
-    model: GeneralModel,
-    theta,
-    tau: float,
-    kernel: PerturbationKernel,
+def _quadrature_level(
+    model: GeneralModel, theta: np.ndarray, tau: float, kernel: PerturbationKernel, m: int
 ) -> PosteriorMoments:
-    """Exact posterior moments by trapezoidal quadrature (dim <= 2 only).
-
-    The grid is fixed: ``_QUAD_POINTS`` = 2001 nodes per axis spanning
-    ``_QUAD_HALF_WIDTH_SDS`` = 8 prior standard deviations either side of
-    ``theta``.  Error is dominated by grid truncation, not sampling, and is
-    far below 1e-8 for smooth likelihoods.
+    """Posterior moments by the trapezoid rule on one grid of ``m`` nodes per
+    axis, spanning ``_QUAD_HALF_WIDTH_SDS`` prior SDs either side of ``theta``.
 
     The prior density and the trapezoid coefficients factor over the axes,
     so their log-weights are one ``(m,)`` vector per axis and the grid is
     never materialized as a point array.  The 1-D grid is evaluated in a
     single call and weighted as ``W = exp(L - max L)``.  In 2-D
-    ``_grid_sums`` calls ``log_likelihood`` 126 times per estimate, on
-    blocks of 16 whole rows (at most 2^15 nodes), each checked like a single
-    call.  No ``(m, m)`` log-posterior matrix is formed: each block is
-    exponentiated in place against a running shift and folded into three
-    ``(m,)`` vectors, which are rescaled whenever the shift rises, so memory
-    is O(m) besides one block.  The means and variances come from the row
-    sums ``r`` and the column sums of ``W``.  The cross term is
+    ``_grid_sums`` calls ``log_likelihood`` on blocks of whole rows (at most
+    2^15 nodes), each checked like a single call.  No ``(m, m)``
+    log-posterior matrix is formed: each block is exponentiated in place
+    against a running shift and folded into three ``(m,)`` vectors, which
+    are rescaled whenever the shift rises, so memory is O(m) besides one
+    block.  The means and variances come from the row sums ``r`` and the
+    column sums of ``W``.  The cross term is
     ``d0' (s + r (theta1 - mu1)) / sum(W)`` with ``s = W (a1 - theta1)``
     and ``d0`` the first axis minus its mean ``mu0``.  The ``r`` term is
     zero in exact arithmetic, but it cancels the rounding of ``mu0``, which
     ``d0' s`` alone would carry into the cross term times ``mu1 - theta1``.
     """
-    if model.dim > 2:
-        raise ValueError("quadrature oracle supports dim <= 2 only")
-    if model.dim != kernel.dim:
-        raise ValueError("model and kernel dimensions differ")
-    if tau <= 0.0:
-        raise ValueError("tau must be > 0 for quadrature moments")
-    theta = np.asarray(theta, dtype=np.float64)
-
-    m = _QUAD_POINTS
     axes = []
     log_w = []
     for i in range(model.dim):
@@ -290,6 +292,71 @@ def posterior_moments_quadrature(
     if model.dim == 2:
         cov[0, 1] = cov[1, 0] = dev[0] @ (moments + rows * (theta[1] - mean[1])) / total
     return PosteriorMoments(mean=mean, covariance=cov, ess=None, n=m**model.dim)
+
+
+def posterior_moments_quadrature(
+    model: GeneralModel,
+    theta,
+    tau: float,
+    kernel: PerturbationKernel,
+) -> PosteriorMoments:
+    """Posterior moments by trapezoidal quadrature (dim <= 2 only), on a grid
+    sized to the posterior.
+
+    Climbs a ladder of grids with ``m = 2^k + 1`` nodes per axis,
+    ``k = 5 ... 11`` (33 to 2049, the bounds ``_QUAD_POINTS``), each spanning
+    ``_QUAD_HALF_WIDTH_SDS`` = 8 prior SDs either side of ``theta`` at half
+    the previous spacing.  The first level ``k >= 6`` is accepted whose
+    moments agree with level ``k - 1``'s, ``|dmu_i| <= 1e-12 s_i`` and
+    ``|dSigma_ij| <= 1e-12 s_i s_j`` with ``s`` its posterior SDs, and on
+    which every ``s_i`` spans at least 2 grid steps.  The differences are
+    taken beyond the nodes' round-off, 8 ulps of ``|theta_i|`` plus the
+    half-span (times ``s_j`` for the covariance), which a tiny ``tau`` at a
+    large ``theta`` would otherwise never get under.  On smooth integrands
+    the trapezoid rule converges exponentially in ``m``, so a posterior
+    about as wide as its prior (small ``tau``) stops at 65 or 129 nodes.
+    If no level passes, the 2049-point moments are returned with an
+    ``OracleAccuracyWarning`` that names the last difference.  ``n`` is the
+    accepted level's node count.  Each level is ``_quadrature_level``,
+    evaluated afresh.
+    """
+    if model.dim > 2:
+        raise ValueError("quadrature oracle supports dim <= 2 only")
+    if model.dim != kernel.dim:
+        raise ValueError("model and kernel dimensions differ")
+    if tau <= 0.0:
+        raise ValueError("tau must be > 0 for quadrature moments")
+    theta = np.asarray(theta, dtype=np.float64)
+    span = 2.0 * _QUAD_HALF_WIDTH_SDS * tau * np.asarray(kernel.sigmas)
+    # the nodes sit on the floating-point grid of their magnitude, so no level
+    # places a moment closer than a few of its ulps: the change between levels
+    # is judged beyond that floor
+    floor = _QUAD_ULPS * np.spacing(np.abs(theta) + span / 2.0)
+
+    m, finest = _QUAD_POINTS
+    coarse = _quadrature_level(model, theta, tau, kernel, m)
+    while m < finest:
+        m = 2 * m - 1
+        fine = _quadrature_level(model, theta, tau, kernel, m)
+        sd = np.sqrt(np.diag(fine.covariance))
+        d_mean = np.abs(fine.mean - coarse.mean) - floor
+        cross_floor = np.outer(floor, sd)
+        d_cov = np.abs(fine.covariance - coarse.covariance) - cross_floor - cross_floor.T
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero SD fails the step test
+            gap = max(np.max(d_mean / sd), np.max(d_cov / np.outer(sd, sd)))
+        steps = np.min(sd / span) * (m - 1)
+        if gap <= _QUAD_RTOL and steps >= _QUAD_MIN_STEPS:
+            return fine
+        coarse = fine
+    warnings.warn(
+        f"quadrature did not converge by {m} nodes per axis: the last two grids' "
+        f"moments differ by {gap:.3g} posterior SDs (tolerance {_QUAD_RTOL:g}) and "
+        f"the narrowest posterior SD spans {steps:.3g} grid steps (at least "
+        f"{_QUAD_MIN_STEPS:g} needed)",
+        OracleAccuracyWarning,
+        stacklevel=2,
+    )
+    return fine
 
 
 def _kernel_variances(sigma, dim: int) -> np.ndarray:

@@ -31,7 +31,6 @@ __all__ = [
     "ParameterDomainError",
     "kalman_loglik",
     "KalmanDerivatives",
-    "OracleAccuracyWarning",
     "kalman_score_info",
     "make_nonlinear_shock_model",
 ]
@@ -253,10 +252,6 @@ def kalman_loglik(model: LinearGaussianSSM, theta, ys) -> float:
     m0, p0 = model.init_moments(phi, sv)
     ys = np.ascontiguousarray(ys, dtype=np.float64)
     return float(kernels.kalman_loglik_core(ys, phi, sv**2, sw**2, m0, p0))
-
-
-class OracleAccuracyWarning(UserWarning):
-    """No longer raised: the Kalman oracle is exact.  Kept as a name only."""
 
 
 @dataclass(frozen=True)

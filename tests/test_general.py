@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import dfscore as dfs
 from dfscore import kernels
-from dfscore.general import DegeneratePosteriorError, FDConfig, GeneralModel
+from dfscore.general import DegeneratePosteriorError, FDConfig, GeneralModel, _quadrature_level
 from dfscore.models import gaussian_location_model, poisson_loglink_model
 
 from conftest import conjugate_posterior_moments
@@ -434,23 +434,87 @@ def test_location_likelihood_bits_do_not_depend_on_layout(d):
     assert np.array_equal(model.log_likelihood(thetas[::-2]), got[::-2])
 
 
+def _assert_within_closed_form(mom, exact, rtol):
+    # |dmu_i| <= rtol s_i and |dSigma_ij| <= rtol s_i s_j, s the exact SDs
+    sd = np.sqrt(np.diag(exact.covariance))
+    assert np.all(np.abs(mom.mean - exact.mean) <= rtol * sd)
+    assert np.all(np.abs(mom.covariance - exact.covariance) <= rtol * np.outer(sd, sd))
+
+
 def test_quadrature_2d_conjugate_bits_are_pinned():
-    # float reprs of the 2-D quadrature's output, recorded before the
-    # column-wise likelihood and the reused node block; both must keep them
+    # float reprs of the 2-D quadrature's output on the 65-point grid the
+    # ladder accepts; a change to the grid or the sums must re-record them
     model = gaussian_location_model(y=[0.3, -0.7], obs_sd=1.0, dim=2)
     kernel = dfs.make_gaussian_kernel([1.0, 2.5])
-    mom = dfs.posterior_moments_quadrature(model, np.array([0.5, -0.2]), 0.1, kernel)
-    assert mom.mean.tolist() == [0.49801980198019813, -0.229411764705882]
+    theta = np.array([0.5, -0.2])
+    mom = dfs.posterior_moments_quadrature(model, theta, 0.1, kernel)
+    assert mom.n == 65**2
+    assert mom.mean.tolist() == [0.49801980198019813, -0.22941176470588184]
     assert mom.covariance.tolist() == [
-        [0.009900990099009311, 9.619861369400736e-20],
-        [9.619861369400736e-20, 0.058823529411763706],
+        [0.00990099009900913, -3.7351407786827894e-19],
+        [-3.7351407786827894e-19, 0.058823529411763366],
     ]
+    exact = conjugate_posterior_moments(theta, 0.1, kernel, y=[0.3, -0.7], obs_sd=1.0)
+    _assert_within_closed_form(mom, exact, 1e-12)
 
 
-def _point_array_quadrature(model, theta, tau, kernel):
-    # reference: every node of the 2001-point, +-8 prior SD grid as a row of
+def test_quadrature_ladder_stops_at_65_points_per_axis():
+    # the general-is-quad config: a posterior about as wide as its prior is
+    # exact on the 65-point grid, reached after the 33-point one
+    rows = []
+    exact = gaussian_location_model(y=[0.3, -0.7], obs_sd=1.0, dim=2)
+
+    def log_likelihood(thetas):
+        rows.append(thetas.shape[0])
+        return exact.log_likelihood(thetas)
+
+    model = GeneralModel(dim=2, log_likelihood=log_likelihood)
+    kernel = dfs.make_gaussian_kernel([1.0, 2.5])
+    mom = dfs.posterior_moments_quadrature(model, np.array([0.5, -0.2]), 0.1, kernel)
+    assert mom.n == 65**2
+    assert sum(rows) == 33**2 + 65**2
+
+
+def test_quadrature_narrow_posterior_meets_the_closed_form():
+    # obs_sd = 0.02 at tau = 0.3: the posterior SDs are 1/15 and 1/37 of the
+    # prior's.  The 513-point grid is 1e-5 off, so the 1025-point one, exact
+    # itself, differs from it; its step is also over half the narrower SD.
+    # The ladder accepts only at 2049 points
+    kernel = dfs.make_gaussian_kernel([1.0, 2.5])
+    theta = np.array([0.5, -0.2])
+    model = gaussian_location_model(y=[0.3, -0.7], obs_sd=0.02, dim=2)
+    mom = dfs.posterior_moments_quadrature(model, theta, 0.3, kernel)
+    assert mom.n == 2049**2
+    exact = conjugate_posterior_moments(theta, 0.3, kernel, y=[0.3, -0.7], obs_sd=0.02)
+    _assert_within_closed_form(mom, exact, 1e-12)
+
+
+def test_quadrature_tiny_tau_at_large_theta_stops_at_the_round_off_floor():
+    # at tau = 1e-6 one ulp of theta is about 4e-9 posterior SDs, so the
+    # levels' rounding alone differs by far more than 1e-12 SDs; the ladder
+    # still stops at 65 points, and any warning fails the test
+    kernel = dfs.make_gaussian_kernel([1.0, 2.5])
+    theta = np.array([30.0, 10.0])
+    model = gaussian_location_model(y=[0.3, -0.7], obs_sd=1.0, dim=2)
+    mom = dfs.posterior_moments_quadrature(model, theta, 1e-6, kernel)
+    assert mom.n == 65**2
+    exact = conjugate_posterior_moments(theta, 1e-6, kernel, y=[0.3, -0.7], obs_sd=1.0)
+    _assert_within_closed_form(mom, exact, 8 * np.spacing(30.0) / 1e-6)
+
+
+def test_quadrature_too_narrow_posterior_warns_on_the_finest_grid():
+    # obs_sd = 0.01 at tau = 1: the second posterior SD is 1/250 of the
+    # prior's, under one step of the finest grid, so no level converges
+    kernel = dfs.make_gaussian_kernel([1.0, 2.5])
+    model = gaussian_location_model(y=[0.3, -0.7], obs_sd=0.01, dim=2)
+    with pytest.warns(dfs.OracleAccuracyWarning, match="2049 nodes per axis"):
+        mom = dfs.posterior_moments_quadrature(model, np.array([0.5, -0.2]), 1.0, kernel)
+    assert mom.n == 2049**2
+
+
+def _point_array_quadrature(model, theta, tau, kernel, m):
+    # reference: every node of the m-point, +-8 prior SD grid as a row of
     # an (m^d, d) point array, one likelihood call and one weighted_mean_cov
-    m = 2001
     axes, log_trap = [], []
     for i in range(model.dim):
         half = 8.0 * tau * kernel.sigmas[i]
@@ -501,16 +565,22 @@ def _running_shift_model(drop):
     return GeneralModel(dim=2, log_likelihood=log_likelihood)
 
 
-def _assert_matches_point_array(model, theta, tau, kernel):
-    mom = dfs.posterior_moments_quadrature(model, theta, tau, kernel)
-    ref_mean, ref_cov = _point_array_quadrature(model, theta, tau, kernel)
+def _assert_matches_point_array(model, theta, tau, kernel, m=None):
+    # m = None: the ladder, against the reference on the grid it accepts;
+    # otherwise the single level of m points per axis
+    if m is None:
+        mom = dfs.posterior_moments_quadrature(model, theta, tau, kernel)
+        m = mom.n if model.dim == 1 else math.isqrt(mom.n)
+    else:
+        mom = _quadrature_level(model, theta, tau, kernel, m)
+    ref_mean, ref_cov = _point_array_quadrature(model, theta, tau, kernel, m)
     np.testing.assert_allclose(mom.mean, ref_mean, rtol=1e-12, atol=0)
     np.testing.assert_allclose(mom.covariance, ref_cov, rtol=1e-12, atol=0)
     return mom, ref_cov
 
 
 @pytest.mark.parametrize(
-    "model, theta, sigmas, tau",
+    "model, theta, sigmas, tau, m",
     [
         # non-zero off-diagonal precision, so the cross term is not zero
         (
@@ -518,19 +588,22 @@ def _assert_matches_point_array(model, theta, tau, kernel):
             np.array([0.5, -0.3]),
             [1.0, 2.5],
             0.1,
+            None,
         ),
-        (poisson_loglink_model(3), THETA, [1.0], 0.05),
-        (_running_shift_model(5.0), np.array([0.5, -0.3]), [1.0, 2.5], 0.1),
-        (_running_shift_model(1000.0), np.array([0.5, -0.3]), [1.0, 2.5], 0.1),
+        (poisson_loglink_model(3), THETA, [1.0], 0.05, None),
+        # the running-shift likelihoods are laid out on the 2001-point grid
+        (_running_shift_model(5.0), np.array([0.5, -0.3]), [1.0, 2.5], 0.1, 2001),
+        (_running_shift_model(1000.0), np.array([0.5, -0.3]), [1.0, 2.5], 0.1, 2001),
     ],
     ids=["gaussian-2d-correlated", "poisson-1d", "running-shift-5", "running-shift-1000"],
 )
-def test_quadrature_matches_point_array_reference(model, theta, sigmas, tau):
+def test_quadrature_matches_point_array_reference(model, theta, sigmas, tau, m):
     kernel = dfs.make_gaussian_kernel(sigmas)
-    mom, ref_cov = _assert_matches_point_array(model, theta, tau, kernel)
+    mom, ref_cov = _assert_matches_point_array(model, theta, tau, kernel, m)
     if model.dim == 2:
         assert abs(ref_cov[0, 1]) > 1e-4
-    assert mom.n == 2001**model.dim
+    if m is not None:
+        assert mom.n == m**model.dim
 
 
 @settings(max_examples=8)
@@ -565,8 +638,8 @@ def test_quadrature_1d_is_one_max_shifted_pass_bitwise():
     model, theta, tau, sigma = poisson_loglink_model(3), THETA, 0.05, 1.3
     mom = dfs.posterior_moments_quadrature(model, theta, tau, dfs.make_gaussian_kernel([sigma]))
     scale = tau * sigma
-    axis = np.linspace(theta[0] - 8.0 * scale, theta[0] + 8.0 * scale, 2001)
-    coeff = np.full(2001, axis[1] - axis[0])
+    axis = np.linspace(theta[0] - 8.0 * scale, theta[0] + 8.0 * scale, mom.n)
+    coeff = np.full(mom.n, axis[1] - axis[0])
     coeff[0] *= 0.5
     coeff[-1] *= 0.5
     z = (axis - theta[0]) / scale
@@ -588,9 +661,8 @@ def test_quadrature_streams_grid_in_row_blocks():
 
     theta = np.array([0.5, -0.2])
     kernel = dfs.make_gaussian_kernel([1.0, 2.0])
-    dfs.posterior_moments_quadrature(GeneralModel(dim=2, log_likelihood=log_likelihood),
-                                     theta, 0.1, kernel)
     m = 2001
+    _quadrature_level(GeneralModel(dim=2, log_likelihood=log_likelihood), theta, 0.1, kernel, m)
     a0 = np.linspace(0.5 - 0.8, 0.5 + 0.8, m)
     a1 = np.linspace(-0.2 - 1.6, -0.2 + 1.6, m)
     g0, g1 = np.meshgrid(a0, a1, indexing="ij")
@@ -629,7 +701,7 @@ def test_quadrature_2d_peak_memory_is_bounded():
     kernel = dfs.make_gaussian_kernel([1.0, 2.5])
     tracemalloc.start()
     try:
-        dfs.posterior_moments_quadrature(model, np.array([0.5, -0.2]), 0.1, kernel)
+        _quadrature_level(model, np.array([0.5, -0.2]), 0.1, kernel, 2001)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
