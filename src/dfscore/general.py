@@ -61,13 +61,12 @@ class GeneralModel:
     ``log_likelihood`` maps an ``(n, dim)`` batch of parameter vectors to an
     ``(n,)`` array of log-likelihood values.  It must be deterministic given
     identical inputs (noisy evaluators own their random stream) and return
-    finite values or ``-inf`` for impossible parameters.  The batch may be
+    finite values or ``-inf`` for impossible parameters: a wrong shape, a NaN
+    or a +inf raises ``ValueError`` naming ``log_likelihood``.  The batch may be
     the transposed view of a component-major ``(dim, n)`` buffer: index it
     by column (``thetas[:, i]``), do not assume C order, and do not write
     into it.  Sum over components column by column into an ``(n,)`` buffer,
-    not along axis 1 of the view, which is about 6× slower.  The 2-D
-    quadrature reuses one block array for all its calls, so do not keep a
-    reference to the batch.
+    not along axis 1 of the view, which is about 6× slower.
 
     Importance sampling and quadrature call it on blocks of at most 2^15
     rows, so a row's value must not depend on the other rows in its batch.
@@ -109,17 +108,19 @@ class PosteriorMoments:
                 raise ValueError("ess must lie in [1, n]")
 
 
-def _evaluate_loglik(model: GeneralModel, thetas: np.ndarray):
-    """``(logl, max logl)`` for one batch; the max is also the value check."""
-    logl = np.asarray(model.log_likelihood(thetas), dtype=np.float64)
-    if logl.shape != (thetas.shape[0],):
-        raise ValueError(
-            f"log_likelihood returned shape {logl.shape}, expected ({thetas.shape[0]},)"
-        )
-    top = np.max(logl)
+def _checked_log_values(values, n: int, name: str, step: Optional[int] = None):
+    """``(values, max)`` of a model callable's log-values as float64; raises
+    ``ValueError`` naming the callable ``name`` (and the filter ``step``)
+    unless they have shape ``(n,)`` and no NaN or +inf.  ``-inf`` passes."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (n,):
+        at = "" if step is None else f" at step {step}"
+        raise ValueError(f"{name} returned shape {values.shape}{at}, expected ({n},)")
+    top = values.max()
     if not top < np.inf:  # also true for NaN
-        raise ValueError("log_likelihood must return finite values or -inf")
-    return logl, top
+        at = "" if step is None else f" at step {step}"
+        raise ValueError(f"{name} returned NaN or +inf{at}, expected finite values or -inf")
+    return values, top
 
 
 def posterior_moments_is(
@@ -151,7 +152,9 @@ def posterior_moments_is(
     logl = np.empty(n)
     top = -np.inf
     for b in blocks:
-        logl[b], block_top = _evaluate_loglik(model, thetas[b])
+        logl[b], block_top = _checked_log_values(
+            model.log_likelihood(thetas[b]), b.stop - b.start, "log_likelihood"
+        )
         top = max(top, block_top)
     if top == -np.inf:
         raise DegeneratePosteriorError(
@@ -182,10 +185,9 @@ def _grid_sums(model: GeneralModel, a0, a1, log_w0, log_w1, centre1: float):
     The grid goes to ``log_likelihood`` in blocks of as many whole rows as
     fit in ``kernels._BLOCK_ROWS`` nodes (the whole 65-point grid in one
     block, 15 rows of the 2049-point one), and every block passes the same
-    checks as a single call would.  A block's nodes are filled
-    component-major, as a ``(2, nodes)`` buffer, and passed as its
-    ``(nodes, 2)`` transpose.  The buffer is written once and reused by
-    every block, which rewrites only the first coordinate.
+    checks as a single call would.  Each block's nodes are a fresh
+    component-major ``(2, nodes)`` array, passed as its ``(nodes, 2)``
+    transpose.
 
     With ``W[i, j] = exp(L[i, j] - shift)`` for the log-posterior
     ``L = logl + log_w0[i] + log_w1[j]``, returns ``(rows, moments, cols)``:
@@ -209,18 +211,15 @@ def _grid_sums(model: GeneralModel, a0, a1, log_w0, log_w1, centre1: float):
     rows, moments, cols = np.zeros(m0), np.zeros(m0), np.zeros(m1)
     shift = -np.inf
     top_w1 = np.max(log_w1)
-    weights = np.empty((step, m1))
-    nodes = np.empty(2 * step * m1)
-    points = nodes.reshape(2, step, m1)
-    points[1] = a1
     for start in range(0, m0, step):
         block = slice(start, min(start + step, m0))
         b = block.stop - start
-        if b < step:  # the short last block: a C-ordered head of the same buffer
-            points = nodes[: 2 * b * m1].reshape(2, b, m1)
-            points[1] = a1
+        points = np.empty((2, b, m1))
         points[0] = a0[block, None]
-        logl, top = _evaluate_loglik(model, points.reshape(2, -1).T)
+        points[1] = a1
+        logl, top = _checked_log_values(
+            model.log_likelihood(points.reshape(2, -1).T), b * m1, "log_likelihood"
+        )
         if top == -np.inf:
             continue
         top += top_w1
@@ -231,7 +230,7 @@ def _grid_sums(model: GeneralModel, a0, a1, log_w0, log_w1, centre1: float):
             moments *= rescale
             cols *= rescale
             shift = peak
-        w = np.subtract(logl.reshape(b, m1), top - log_w1, out=weights[:b])
+        w = logl.reshape(b, m1) - (top - log_w1)
         np.exp(w, out=w)
         row_scale = np.exp(log_w0[block] + (top - shift))
         rows[block], moments[block] = (w @ row_basis).T * row_scale
@@ -251,13 +250,9 @@ def _quadrature_level(
     so their log-weights are one ``(m,)`` vector per axis and the grid is
     never materialized as a point array.  The 1-D grid is evaluated in a
     single call and weighted as ``W = exp(L - max L)``.  In 2-D
-    ``_grid_sums`` calls ``log_likelihood`` on blocks of whole rows (at most
-    2^15 nodes), each checked like a single call.  No ``(m, m)``
-    log-posterior matrix is formed: each block is exponentiated in place
-    against a running shift and folded into three ``(m,)`` vectors, which
-    are rescaled whenever the shift rises, so memory is O(m) besides one
-    block.  The means and variances come from the row sums ``r`` and the
-    column sums of ``W``.  The cross term is
+    ``_grid_sums`` streams blocks of whole rows into three ``(m,)`` vectors,
+    so memory is O(m) besides one block.  The means and variances come from
+    the row sums ``r`` and the column sums of ``W``.  The cross term is
     ``d0' (s + r (theta1 - mu1)) / sum(W)`` with ``s = W (a1 - theta1)``
     and ``d0`` the first axis minus its mean ``mu0``.  The ``r`` term is
     zero in exact arithmetic, but it cancels the rounding of ``mu0``, which
@@ -277,7 +272,9 @@ def _quadrature_level(
         log_w.append(np.log(coeff) - 0.5 * z * z)
 
     if model.dim == 1:
-        logl, top = _evaluate_loglik(model, axes[0][:, None])
+        logl, top = _checked_log_values(
+            model.log_likelihood(axes[0][:, None]), m, "log_likelihood"
+        )
         if top == -np.inf:  # the log-prior weights are finite
             raise DegeneratePosteriorError("posterior mass vanished on the grid")
         log_post = logl + log_w[0]
@@ -434,13 +431,6 @@ def _node_rng(config: FDConfig, k: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((config.base_seed, k)))
 
 
-def _checked_eval(loglik, theta, rng) -> float:
-    value = float(loglik(theta, rng))
-    if np.isnan(value) or np.isinf(value):
-        raise ValueError(f"log-likelihood evaluation at {theta} is not finite")
-    return value
-
-
 def _fd_stencil(d: int, target: str) -> np.ndarray:
     """Central-difference node offsets in units of ``h``, one row per node.
 
@@ -487,9 +477,10 @@ def _fd_evaluate(loglik, theta, config: FDConfig, target: str):
     difference it."""
     theta = np.asarray(theta, dtype=np.float64)
     nodes = theta + config.h * _fd_stencil(theta.size, target)
-    values = np.array(
-        [_checked_eval(loglik, node, _node_rng(config, k)) for k, node in enumerate(nodes)]
-    )
+    values = np.array([float(loglik(node, _node_rng(config, k))) for k, node in enumerate(nodes)])
+    _checked_log_values(values, len(nodes), "loglik")
+    if values.min() == -np.inf:  # a difference needs every node finite
+        raise ValueError(f"loglik returned -inf at {nodes[values.argmin()]}, expected finite")
     return _fd_derivatives(values, theta.size, config.h, target)
 
 

@@ -71,6 +71,7 @@ import numpy as np
 
 from . import kernels
 from .general import PosteriorMoments, observed_info_from_moments, score_from_moments
+from .general import _checked_log_values
 from .perturbation import PerturbationKernel, make_gaussian_kernel
 from .results import InfoEstimate, ScoreEstimate, _write_csv
 from .state_space import StateSpaceModel
@@ -292,18 +293,21 @@ def run_extended_bootstrap(
     for u in range(horizon):
         thetas = config.kernel.sample(theta, config.tau, rng, size=n)
         if u == 0:
-            x = model.init_sampler(thetas, rng)
+            sampler, x = "init_sampler", model.init_sampler(thetas, rng)
+            state_shape = (n,) + np.shape(x)[1:]
         else:
-            x = model.transition_sampler(x, thetas, rng)
-        logg = np.asarray(model.obs_logdensity(ys[u], x, thetas), dtype=np.float64)
-        if logg.shape != (n,):
+            sampler, x = "transition_sampler", model.transition_sampler(x, thetas, rng)
+        if np.shape(x) != state_shape:
             raise ValueError(
-                f"obs_logdensity returned shape {logg.shape} at step {u + 1}, "
-                f"expected ({n},)"
+                f"{sampler} returned shape {np.shape(x)} at step {u + 1}, expected {state_shape}"
             )
-        top = logg.max()  # NaN if any entry is NaN
-        if not top < np.inf:
-            raise ValueError(f"obs_logdensity returned NaN or +inf at step {u + 1}")
+        logg = model.obs_logdensity(ys[u], x, thetas)
+        try:
+            logg, top = _checked_log_values(logg, n, "obs_logdensity", u + 1)
+        except ValueError as err:
+            if np.all(np.isfinite(x)):
+                raise
+            raise ValueError(f"{sampler} returned non-finite states at step {u + 1}") from err
         if log_prev is None:
             logw = logg
         else:

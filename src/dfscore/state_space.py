@@ -57,10 +57,13 @@ class StateSpaceModel:
     draws are: index it by column (``thetas[:, i]``), do not assume C order,
     and do not write into it.
 
-    ``init_sampler(thetas, rng)`` draws x_1, ``transition_sampler(states,
-    thetas, rng)`` advances one step, ``obs_logdensity(y, states, thetas)``
-    returns per-particle log observation densities.  ``obs_sampler`` is only
-    needed for data simulation.
+    ``init_sampler(thetas, rng)`` draws x_1 with leading dimension ``n``,
+    ``transition_sampler(states, thetas, rng)`` advances one step keeping the
+    shape, ``obs_logdensity(y, states, thetas)`` returns ``(n,)`` log
+    observation densities, finite or ``-inf``.  The filter names the callable
+    and the step of any other return, and the sampler whose non-finite
+    states made ``obs_logdensity`` fail.  ``obs_sampler`` is only needed for
+    data simulation.
     """
 
     param_dim: int

@@ -1,6 +1,8 @@
 """The failure contract's argument checks: bad input raises a ValueError that
 says what is wrong, and bad output from a user callable names the callable."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,26 @@ def test_obs_logdensity_of_the_wrong_shape_names_the_callable_and_the_step():
 
     with pytest.raises(ValueError, match=r"obs_logdensity returned shape \(9,\) at step 3"):
         dfs.run_extended_bootstrap(chain(obs_logdensity), np.zeros(5), filter_config(), RNG(0))
+
+
+@pytest.mark.parametrize(
+    "sampler, bad, message",
+    [
+        ("transition_sampler", lambda x, t, r: x[:, None],
+         r"transition_sampler returned shape \(3000, 1\) at step 2, expected \(3000,\)"),
+        ("transition_sampler", lambda x, t, r: np.full_like(x, np.nan),
+         r"transition_sampler returned non-finite states at step 2"),
+        ("init_sampler", lambda t, r: np.zeros(t.shape[0] - 1),
+         r"init_sampler returned shape \(2999,\) at step 1"),
+    ],
+    ids=["transition-shape", "transition-nan", "init-one-short"],
+)
+def test_bad_sampler_output_names_the_sampler_and_the_step(sampler, bad, message):
+    # the observation density would accept these states, or turn them into
+    # its own NaN, so only a check at the sampler can name the culprit
+    model = dataclasses.replace(LINEAR.state_space(), **{sampler: bad})
+    with pytest.raises(ValueError, match=message):
+        dfs.run_extended_bootstrap(model, np.zeros(5), filter_config(3000), RNG(0))
 
 
 @pytest.mark.parametrize("moments", ["is", "quadrature"])

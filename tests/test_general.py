@@ -304,6 +304,20 @@ def test_fd_propagates_nonfinite_evaluations():
         dfs.fd_score(lambda t, r: float("nan"), THETA, FDConfig(h=0.1, base_seed=0))
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [(np.nan, r"loglik returned NaN or \+inf, expected finite"),
+     (-np.inf, r"loglik returned -inf at \[0\.6 0\.2\], expected finite")],
+    ids=["nan", "minus-inf"],
+)
+def test_fd_names_the_callable_and_rejects_minus_inf_at_its_node(bad, message):
+    # a difference needs every node finite, though -inf is a valid log-value
+    theta = np.array([0.5, 0.2])
+    loglik = lambda t, r: bad if t[0] > theta[0] else 0.0  # only the +e_0 node
+    with pytest.raises(ValueError, match=message):
+        dfs.fd_info(loglik, theta, FDConfig(h=0.1, base_seed=0))
+
+
 def _node_rng(config, k):
     return np.random.default_rng(np.random.SeedSequence((config.base_seed, k)))
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dfscore import kernels
@@ -211,7 +211,13 @@ def test_relabelling_the_particles_moves_each_moment_within_its_own_scale(seed, 
 
 @settings(max_examples=15)
 @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from(_ABOVE_BLOCK), d=st.integers(1, 4))
+@example(seed=93019335, n=98304, d=4)
+@example(seed=130134, n=98304, d=2)
+@example(seed=613575, n=65543, d=4)
 def test_blocked_mean_cov_matches_the_whole_array_formula(seed, n, d):
+    # the examples each hold an off-diagonal entry a few 1e-7 of the
+    # diagonal, which no float64 sum meets to an entrywise rtol of 1e-12,
+    # so every entry is bounded by its own components' sds instead
     xt, _, w = _particles(seed, n, d)
     mean, cov = kernels.weighted_mean_cov(xt.T, w)
     assert np.array_equal(cov, cov.T)
@@ -219,4 +225,5 @@ def test_blocked_mean_cov_matches_the_whole_array_formula(seed, n, d):
     ref_mean = xt @ w
     dx = (xt - ref_mean[:, None]) * np.sqrt(w)
     assert np.array_equal(mean, ref_mean)
-    np.testing.assert_allclose(cov, dx @ dx.T, rtol=1e-12)
+    sd = _weighted_sd(xt, w)
+    assert np.all(np.abs(cov - dx @ dx.T) <= 1e-12 * np.outer(sd, sd))
