@@ -6,11 +6,11 @@ table, ``_SCHEMA``, holds every key: the ``ExperimentConfig`` field it fills
 (``[model]`` values go to ``model_params``), its parser, its default, its
 check and the model kinds and methods it applies to.  ``ExperimentConfig``
 runs the checks however it is built, so a config made in code or by
-``dataclasses.replace`` meets the same rules as a file; ``load_config`` also
-rejects a key given in the file that the method does not read.
-A second table, ``_KINDS``, gives each model kind its family and the builder
-of its model, data and oracle, which applies the rules that span several
-``[model]`` keys.
+``dataclasses.replace`` meets the same rules as a file.  ``load_config``
+also rejects a key given in the file that the method does not read, and it
+holds each CLI command's grid contract.  A second table, ``_KINDS``, gives
+each model kind its family and the builder of its model, data and oracle,
+which applies the rules that span several ``[model]`` keys.
 
 Every replication draws its random stream from
 ``numpy.random.SeedSequence((base_seed, grid_index, rep_index))``, which
@@ -18,9 +18,9 @@ mixes the three words through SeedSequence's collision-resistant hash, so
 grid points and replications never share streams.  Runs are deterministic
 given the config and base seed: records are sorted before writing and the
 one CSV writer (``results._write_csv``) gives floats their shortest
-round-trip ``repr``, so identical runs emit byte-identical CSV.  Wall-clock timings are kept on the records but
-written to the CSV only on request, because timing values are the one field
-that cannot reproduce.
+round-trip ``repr``, so identical runs emit byte-identical CSV.  Wall-clock
+timings are kept on the records but written to the CSV only on request,
+because timing values are the one field that cannot reproduce.
 """
 
 from __future__ import annotations
@@ -442,10 +442,21 @@ _SCHEMA = {
 }
 
 
-def load_config(path, compare: bool = False) -> ExperimentConfig:
+# Each sweep and the [grid] axis it sweeps.
+_SWEEPS = {"sweep-tau": "tau", "sweep-n": "n", "sweep-lag": "delta"}
+
+
+def load_config(path, command: Optional[str] = None) -> ExperimentConfig:
     """Parse an experiment config file; ExperimentConfig checks the values.
-    A key given in the file must be read by the method or, with ``compare``,
-    by a method ``compare_fd`` runs, which sets ``loglik_source`` and ``n``."""
+    A key given in the file must be read by the method or, under
+    ``compare-fd``, by a method ``compare_fd`` runs, which sets
+    ``loglik_source`` and ``n``.  A named command then applies its grid
+    contract: ``estimate`` takes one point on each axis the method reads, a
+    sweep two or more on its axis, which the method must read, and
+    ``compare-fd`` two replications for its variances (``compare_fd`` holds
+    each of its sides to one point).  ``oracle`` swaps in the oracle method."""
+    if command not in (None, "estimate", *_SWEEPS, "compare-fd", "oracle"):
+        raise ValueError(f"unknown command {command!r}")
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     if not parser.read(path):
         raise ConfigError(f"cannot read config file {path}")
@@ -472,6 +483,7 @@ def load_config(path, compare: bool = False) -> ExperimentConfig:
     if values["tau_rule"] and parser.has_option("grid", "tau"):
         raise ConfigError("give either a tau grid or a tau_rule", key="grid.tau_rule")
     config = ExperimentConfig(model_params=model_params, **values)
+    compare = command == "compare-fd"
     runs = _compare_pair(config) if compare else (config,)
     methods = " or ".join(run.method for run in runs)
     for name, row in given:
@@ -479,6 +491,19 @@ def load_config(path, compare: bool = False) -> ExperimentConfig:
             raise ConfigError(f"compare-fd sets {name} from the model and [compare]", key=name)
         if not any(run.method.partition("-")[0] in row.methods for run in runs):
             raise ConfigError(f"{name} does not apply to method {methods}", key=name)
+    if command == "oracle":
+        return replace(config, method="oracle", replications=1)
+    if command == "estimate":
+        _check_one_point(config, command)
+    if command == "compare-fd" and config.replications < 2:
+        raise ConfigError("compare-fd needs two or more replications", key="run.replications")
+    if command in _SWEEPS:
+        axis = _axis(config, _SWEEPS[command])
+        points = _read_axes(config).get(axis)
+        if points is None:
+            raise ConfigError(f"method {config.method} does not read {axis}", key="grid." + axis)
+        if len(points) < 2:
+            raise ConfigError(f"{command} needs two or more points", key="grid." + axis)
     return config
 
 
@@ -515,35 +540,42 @@ class _GridPoint:
     h: float
 
 
-def _read_axes(config: ExperimentConfig) -> set:
-    """The [grid] axes the method reads, as its ``_columns`` list them.
-    Under a tau_rule the (tau, n) pairs are one axis, n, read when tau or n
-    is."""
-    read = {"n" if name == "n_particles" else name for name in _columns(config)}
-    if config.tau_rule and "tau" in read:
-        read = (read - {"tau"}) | {"n"}
-    return read
+# Each [grid] axis, in grid order, and the ExperimentConfig field of its values.
+_AXES = {key: row.field for key, row in _SCHEMA["grid"].items() if key != "tau_rule"}
+
+
+def _axis(config: ExperimentConfig, name: str) -> str:
+    """The axis that holds ``name``'s values: under a tau_rule the (tau, n)
+    pairs are one axis, n."""
+    return "n" if name == "tau" and config.tau_rule else name
+
+
+def _read_axes(config: ExperimentConfig) -> dict:
+    """The [grid] axes the method reads, as its ``_columns`` list them, each
+    with its values."""
+    read = {_axis(config, "n" if name == "n_particles" else name) for name in _columns(config)}
+    return {axis: getattr(config, field) for axis, field in _AXES.items() if axis in read}
+
+
+def _check_one_point(config: ExperimentConfig, command: str) -> None:
+    for axis, values in _read_axes(config).items():
+        if len(values) != 1:
+            raise ConfigError(f"{command} needs one point per grid", key="grid." + axis)
 
 
 def _build_grid(config: ExperimentConfig) -> list:
     """Every combination of the values on the axes the method reads; an axis
     it does not read keeps its first value."""
     read = _read_axes(config)
-
-    def axis(key, values):
-        return values if key in read else values[:1]
-
+    values = {axis: read.get(axis, getattr(config, field)[:1]) for axis, field in _AXES.items()}
     if config.tau_rule:
         match = _TAU_RULE_RE.match(config.tau_rule)
         exponent = float(Fraction(int(match.group(1)), int(match.group(2))))
-        tau_n = axis("n", [(float(n) ** exponent, n) for n in config.ns])
+        tau_n = [(float(n) ** exponent, n) for n in values["n"]]
     else:
-        tau_n = [(tau, n) for tau in axis("tau", config.taus) for n in axis("n", config.ns)]
-    axes = itertools.product(tau_n, axis("delta", config.deltas), axis("h", config.hs))
-    return [
-        _GridPoint(index, tau, n, delta, h)
-        for index, ((tau, n), delta, h) in enumerate(axes)
-    ]
+        tau_n = itertools.product(values["tau"], values["n"])
+    axes = itertools.product(tau_n, values["delta"], values["h"])
+    return [_GridPoint(i, tau, n, delta, h) for i, ((tau, n), delta, h) in enumerate(axes)]
 
 
 # Model-level failures: a run tags its rows with the class name instead of
@@ -682,14 +714,6 @@ def _columns(config: ExperimentConfig) -> tuple:
     return columns
 
 
-def _grid_cells(config: ExperimentConfig, point: _GridPoint) -> dict:
-    """The tau/h/delta/n_particles cells of a run's rows; those the method
-    does not read are None."""
-    grid = {"tau": point.tau, "h": point.h, "delta": point.delta, "n_particles": point.n}
-    columns = _columns(config)
-    return {name: grid[name] if name in columns else None for name in grid}
-
-
 def _run_one(config: ExperimentConfig, bundle, point, rep) -> list:
     source, _, target = config.method.partition("-")
     entry = _SOURCES[source]
@@ -707,19 +731,19 @@ def _run_one(config: ExperimentConfig, bundle, point, rep) -> list:
         arrays = [np.empty((d, d) if target == "oim" else d)]
     wall = (time.perf_counter() - t0) * 1e3
 
-    cells = _grid_cells(config, point)
-    oracles = (None, None)
-    if "oracle" in entry.columns and bundle.oracle is not None:
-        oracles = bundle.oracle
+    # the grid cells of the run's rows; those the method does not read stay blank
+    columns = _columns(config)
+    grid = {"tau": point.tau, "h": point.h, "delta": point.delta, "n_particles": point.n}
+    cells = {name: value if name in columns else None for name, value in grid.items()}
+    has_oracle = "oracle" in columns and bundle.oracle is not None
+    oracles = bundle.oracle if has_oracle else (None, None)
     rows = []
     for array in arrays:
         reference = oracles[array.ndim - 1]
         for index, value in np.ndenumerate(array):
             estimate = None if error else float(value)
             oracle = None if reference is None else float(reference[index])
-            abs_error = None
-            if estimate is not None and oracle is not None:
-                abs_error = abs(estimate - oracle)
+            abs_error = None if estimate is None or oracle is None else abs(estimate - oracle)
             rows.append(
                 RunRecord(
                     run_id=f"{config.method}.g{point.index:03d}.r{rep:04d}",
@@ -887,19 +911,20 @@ def compare_fd(config: ExperimentConfig, threads: int = 1):
     where the table aggregates per-method bias, variance and MSE per
     component plus the FD/proposed variance ratio.  ``threads`` goes to
     ``run_experiment``, so only an IS or quadrature side uses the pool.
+    Raises ConfigError before any run on an axis that either side reads
+    and that holds two or more points, whose runs would pool in one row.
     """
-    proposed, fd = (run_experiment(run, threads=threads) for run in _compare_pair(config))
+    runs = _compare_pair(config)
+    for run in runs:
+        _check_one_point(run, "compare-fd")
+    proposed, fd = (run_experiment(run, threads=threads) for run in runs)
     proposed_rows, fd_rows = _summary(proposed), _summary(fd)
     table = list(fd_rows.values()) + list(proposed_rows.values())
     for row in table:
         comp = (row["comp_i"], row["comp_j"])
-        proposed_var = proposed_rows.get(comp, {}).get("variance")
-        fd_var = fd_rows.get(comp, {}).get("variance")
-        row["variance_ratio"] = (
-            fd_var / proposed_var
-            if (fd_var is not None and proposed_var not in (None, 0.0))
-            else None
-        )
+        fd_var, var = (rows.get(comp, {}).get("variance") for rows in (fd_rows, proposed_rows))
+        # FD over proposed variance; blank without FD rows or a proposed spread
+        row["variance_ratio"] = fd_var / var if fd_var is not None and var else None
     return proposed + fd, table
 
 

@@ -2,6 +2,7 @@
 else, every export resolves, and the README's library quick start runs as
 written."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -70,6 +71,25 @@ def test_every_export_resolves_and_the_package_exports_its_imports():
         for name in importlib.import_module(f"dfscore.{module}").__all__
     ]
     assert list(dfscore.__all__) == joined
+
+
+def test_the_cli_imports_only_public_harness_names():
+    # the harness owns each command's grid contract; the CLI parses, runs and writes
+    from dfscore import cli, harness
+
+    imported = []
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            names = [alias.name for alias in node.names]
+            if module in (".harness", "dfscore.harness"):
+                imported += names
+            elif module in (".", "dfscore"):
+                assert "harness" not in names, "import the harness's names, not the module"
+        elif isinstance(node, ast.Import):
+            assert "dfscore.harness" not in [alias.name for alias in node.names]
+    assert imported
+    assert sorted(set(imported) - set(harness.__all__)) == []
 
 
 def test_readme_library_quick_start_runs():

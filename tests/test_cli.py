@@ -563,13 +563,18 @@ def test_compare_fd_reports_the_rows_it_wrote(tmp_path, capsys):
         (COMPARE_GENERAL, "kernel_sigmas = 1.0", "kernel_sigmas = 1.0\ness_threshold = 0.5",
          "estimator.ess_threshold"),
         (COMPARE_SSM, "replications = 2", "replications = 1", "run.replications"),
+        (COMPARE_GENERAL, "tau = 0.1", "tau = 0.1, 0.5\nh = 0.1, 0.3", "grid.tau"),
+        (COMPARE_GENERAL, "tau = 0.1", "tau = 0.1\nh = 0.1, 0.3", "grid.h"),
+        (COMPARE_SSM, "delta = 2", "delta = 0, 5", "grid.delta"),
     ],
-    ids=["loglik-source-smc", "loglik-source-exact", "ess-threshold-on-is", "one-replication"],
+    ids=["loglik-source-smc", "loglik-source-exact", "ess-threshold-on-is", "one-replication",
+         "two-tau-on-is", "two-h-on-fd", "two-delta-on-smc"],
 )
 def test_compare_fd_config_error(tmp_path, capsys, base, old, new, key):
     # each of these configs used to exit 0: compare-fd overrode loglik_source,
-    # ignored an ess_threshold its is side does not read, and wrote a zero
-    # variance for a single replicate
+    # ignored an ess_threshold its is side does not read, wrote a zero
+    # variance for a single replicate, and averaged the runs of every grid
+    # point into one table row
     assert base.count(old) == 1
     config = write(tmp_path, base.replace(old, new), "cmp.ini")
     out = tmp_path / "cmp.csv"
@@ -643,6 +648,31 @@ def test_tau_rule_grid_couples_tau_to_n(tmp_path, capsys, command):
         assert float(row["tau"]) == float(row["n_particles"]) ** (-1 / 3)
     x_field = "tau" if command == "sweep-tau" else "n_particles"
     assert re.search(SLOPE_LINE.format(x_field), capsys.readouterr().out)
+
+
+@pytest.mark.parametrize(
+    "command, pooled, single, x_field",
+    [
+        ("sweep-tau", "tau = 0.05, 0.1, 0.2\nn = 100, 1000", "tau = 0.05, 0.1, 0.2\nn = 100",
+         "tau"),
+        ("sweep-n", "tau = 0.1, 0.2\nn = 100, 400, 1600", "tau = 0.1\nn = 100, 400, 1600",
+         "n_particles"),
+    ],
+    ids=["sweep-tau", "sweep-n"],
+)
+def test_sweep_slope_needs_one_point_on_every_other_axis(
+    tmp_path, capsys, command, pooled, single, x_field
+):
+    # one slope used to pool the MSEs of both points at each x
+    skipped = f"no log-log MSE slope vs {x_field}: the sweep spans other grid axes too\n"
+    for grid, rows in ((pooled, 1 + 3 * 2 * 2), (single, 1 + 3 * 2)):
+        config = write(tmp_path, IS_SWEEP.replace("tau = 0.2, 0.1\nn = 500", grid), "sweep.ini")
+        out = tmp_path / "sweep.csv"
+        assert main([command, "--config", config, "--out", str(out)]) == EXIT_OK
+        assert len(out.read_text().splitlines()) == rows
+        printed = capsys.readouterr().out
+        slope = re.search(SLOPE_LINE.format(x_field), printed)
+        assert (slope is None, skipped in printed) == (grid is pooled, grid is pooled)
 
 
 def test_sweep_tau_under_a_tau_rule_needs_two_n_points(tmp_path, capsys):

@@ -96,6 +96,15 @@ def test_load_config_happy_path(tmp_path):
     assert config.replications == 2
 
 
+def test_load_config_names_only_known_commands(tmp_path):
+    path = write_config(tmp_path, CONJUGATE_INI)
+    assert load_config(path, command="estimate") == load_config(path)
+    oracle = load_config(path, command="oracle")
+    assert (oracle.method, oracle.replications) == ("oracle", 1)
+    with pytest.raises(ValueError, match="unknown command 'sweep_tau'"):
+        load_config(path, command="sweep_tau")
+
+
 def test_unknown_key_is_named(tmp_path):
     path = write_config(tmp_path, CONJUGATE_INI.replace("dim = 1", "dim = 1\nwhom = 2"))
     with pytest.raises(ConfigError) as err:
@@ -650,6 +659,34 @@ def test_compare_fd_ratio_is_blank_when_the_proposed_variance_is_zero(tmp_path):
     path = tmp_path / "cmp.csv"
     write_compare_csv(table, path)
     assert all(line.endswith(",") for line in path.read_text().splitlines()[1:])
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        (base_config(taus=(0.1, 0.5), hs=(0.1, 0.3), replications=3), "grid.tau"),
+        (base_config(hs=(0.1, 0.3)), "grid.h"),
+        (lgssm_config(method="smc-score", deltas=(0, 5)), "grid.delta"),
+    ],
+    ids=["is-tau", "fd-h", "smc-delta"],
+)
+def test_compare_fd_with_two_points_on_an_axis_it_reads_raises_before_any_run(
+    monkeypatch, config, key
+):
+    # these used to run every point and average them into one table row per method
+    calls = []
+    monkeypatch.setattr(harness, "run_experiment", lambda *args, **kw: calls.append(args))
+    with pytest.raises(ConfigError, match="compare-fd needs one point per grid") as err:
+        compare_fd(config)
+    assert err.value.key == key
+    assert calls == []
+
+
+def test_compare_fd_takes_the_first_point_of_an_axis_neither_side_reads():
+    # is-score and exact FD read no delta, so its second value adds no runs
+    records, table = compare_fd(base_config(deltas=(0, 5), compare_smc_n=500))
+    assert {r.run_id.split(".g")[1][:3] for r in records} == {"000"}
+    assert {row["method"] for row in table} == {"fd-score", "is-score"}
 
 
 def test_compare_fd_lgssm_emits_ratio():
